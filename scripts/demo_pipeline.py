@@ -48,7 +48,7 @@ def main() -> None:
         print(f"  coset of {x.text()!r}: {coset_of(table, x)} (nonzero = avoided)")
 
     print("\n== permutation image group ==")
-    group = image_group(table)
+    group = image_group(table.images, table.size)
     print(f"closure size: {len(group)} (vs {table.size}! = "
           f"{__import__('math').factorial(table.size)} for the literal strategy)")
 

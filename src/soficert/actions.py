@@ -16,6 +16,7 @@ Three action kinds are supported:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
@@ -177,9 +178,9 @@ def coset_canonical_word(graph: StallingsGraph, w: Word) -> Word:
     if state == 0:
         return identity(w.rank)
     parent: dict[int, tuple[int, int]] = {state: (-1, 0)}
-    queue = [state]
+    queue = deque([state])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if v == 0:
             break
         for l in signed_letters(graph.rank):

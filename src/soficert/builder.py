@@ -29,6 +29,7 @@ import os
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .actions import (
@@ -107,13 +108,15 @@ class SoficApproximation:
         if len(self.images) != expected:
             raise ValueError(f"expected {expected} generator images, got {len(self.images)}")
 
+    @cached_property
+    def inverse_images(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(inverse(img) for img in self.images)
+
     def _eval_word(self, w: Word, offset: int) -> tuple[int, ...]:
         perm = identity_perm(self.size)
         for l in w.letters:
-            img = self.images[offset + abs(l) - 1]
-            if l < 0:
-                img = inverse(img)
-            perm = compose(perm, img)
+            i = offset + abs(l) - 1
+            perm = compose(perm, self.images[i] if l > 0 else self.inverse_images[i])
         return perm
 
     def permutation_of(
@@ -178,7 +181,7 @@ def finite_index_witness(
             )
         carrier = sorted(itertools.permutations(range(n)))
     elif strategy == "core":
-        carrier = image_group(table, caps.core_cap)
+        carrier = image_group(table.images, table.size, caps.core_cap)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     index = {p: i for i, p in enumerate(carrier)}
@@ -254,27 +257,8 @@ class _FiniteQuotient:
 
 
 def _quotient_from_walks(rank: int, degree: int, walks: Sequence[tuple[int, ...]], cap: int) -> _FiniteQuotient:
-    elements = tuple(_perm_closure(walks, degree, cap))
+    elements = tuple(image_group(walks, degree, cap))
     return _FiniteQuotient(rank, degree, tuple(walks), elements)
-
-
-def _perm_closure(gens: Sequence[tuple[int, ...]], degree: int, cap: int) -> list[tuple[int, ...]]:
-    steps = list(gens) + [inverse(p) for p in gens]
-    first = identity_perm(degree)
-    seen = {first}
-    order = [first]
-    queue = [first]
-    while queue:
-        u = queue.pop(0)
-        for p in steps:
-            v = compose(p, u)
-            if v not in seen:
-                if len(order) >= cap:
-                    raise CoreTooLargeError(f"permutation group exceeds cap {cap}")
-                seen.add(v)
-                order.append(v)
-                queue.append(v)
-    return order
 
 
 def _separating_quotient(rank: int, targets: Sequence[Word], caps: Caps) -> tuple[_FiniteQuotient, str]:

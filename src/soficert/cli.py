@@ -17,7 +17,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .actions import (
@@ -86,10 +86,10 @@ def job_from_dict(data: dict) -> JobConfig:
     if not isinstance(caps_data, dict):
         raise ValueError("caps must be an object")
     caps = Caps(**caps_data)
-    for name in ("core_cap", "literal_degree_max", "bireg_carrier_cap",
-                 "quotient_degree_max", "quotient_samples", "orbit_bound"):
-        if getattr(caps, name) <= 0:
-            raise ValueError(f"cap {name} must be positive")
+    for cap in fields(Caps):
+        value = getattr(caps, cap.name)
+        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+            raise ValueError(f"cap {cap.name} must be a positive integer")
     out = data.get("out")
     seed = data.get("seed", 0)
     if not isinstance(seed, int):
@@ -388,3 +388,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

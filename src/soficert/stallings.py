@@ -24,11 +24,12 @@ Conventions fixed once and shared by every module:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .permutations import compose, identity_perm, inverse
+from .permutations import compose, identity_perm, inverse, order_bound
 from .words import Word, identity, invert, letter_key
 
 DEFAULT_CORE_CAP = 10**6
@@ -142,9 +143,9 @@ def _canonical(rank: int, edges: set[tuple[int, int, int]], base: int) -> Stalli
         steps[(u, l)] = v
         steps[(v, -l)] = u
     order = {base: 0}
-    queue = [base]
+    queue = deque([base])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for l in signed_letters(rank):
             w = steps.get((v, l))
             if w is not None and w not in order:
@@ -310,9 +311,9 @@ def schreier_representative(table: CosetTable, coset: int) -> Word:
     if not 0 <= coset < table.size:
         raise ValueError(f"coset {coset} out of range for table of size {table.size}")
     parent: dict[int, tuple[int, int]] = {0: (-1, 0)}
-    queue = [0]
+    queue = deque([0])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if v == coset:
             break
         for l in signed_letters(table.rank):
@@ -329,29 +330,37 @@ def schreier_representative(table: CosetTable, coset: int) -> Word:
     return Word(tuple(letters), table.rank)
 
 
-def image_group(table: CosetTable, cap: int = DEFAULT_CORE_CAP) -> list[tuple[int, ...]]:
-    """Elements of the permutation group generated by the table, in the
-    order discovered by a breadth-first walk closure from the identity."""
-    steps = [table.images[i] for i in range(table.rank)] + [
-        table.inverses[i] for i in range(table.rank)
-    ]
-    first = identity_perm(table.size)
-    seen = {first: 0}
-    order = [first]
-    queue = [first]
+def image_group(
+    generators: Sequence[Sequence[int]], degree: int, cap: int = DEFAULT_CORE_CAP
+) -> list[tuple[int, ...]]:
+    """Elements of the permutation group generated by ``generators`` on
+    ``degree`` points, in the order a breadth-first closure from the
+    identity discovers them (each generator, then each inverse).
+
+    The group is sized by a Schreier-Sims chain first; one of order
+    above ``cap`` is refused before any element is listed.
+    """
+    order = order_bound(generators, degree, cap)
+    if order > cap:
+        raise CoreTooLargeError(
+            f"image group exceeds cap {cap} on {degree} points (order at least {order})"
+        )
+    steps = list(generators) + [inverse(p) for p in generators]
+    first = identity_perm(degree)
+    seen = {first}
+    elements = [first]
+    queue = deque(elements)
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for p in steps:
             v = compose(p, u)
             if v not in seen:
-                if len(order) >= cap:
-                    raise CoreTooLargeError(
-                        f"image group exceeds cap {cap} on {table.size} points"
-                    )
-                seen[v] = len(order)
-                order.append(v)
+                seen.add(v)
+                elements.append(v)
                 queue.append(v)
-    return order
+    if len(elements) != order:
+        raise AssertionError(f"closure has {len(elements)} elements, stabilizer chain {order}")
+    return elements
 
 
 def normal_core(table: CosetTable, cap: int = DEFAULT_CORE_CAP) -> CosetTable:
@@ -361,7 +370,7 @@ def normal_core(table: CosetTable, cap: int = DEFAULT_CORE_CAP) -> CosetTable:
     walked by left composition, so the result has size equal to the
     image group's order.
     """
-    elements = image_group(table, cap)
+    elements = image_group(table.images, table.size, cap)
     index = {p: i for i, p in enumerate(elements)}
     images = []
     for i in range(table.rank):

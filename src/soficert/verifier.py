@@ -69,10 +69,9 @@ def check_multiplicative(
 ) -> Fraction:
     """Max defect d(phi(gh), phi(g) . phi(h)) over (g, h) in F x F; 0 when F is empty."""
     worst = Fraction(0)
-    for g in F:
-        pg = approx.permutation_of(g, word_images)
-        for h in F:
-            ph = approx.permutation_of(h, word_images)
+    images = [approx.permutation_of(g, word_images) for g in F]
+    for g, pg in zip(F, images):
+        for h, ph in zip(F, images):
             gh = _multiply_elements(g, h)
             defect = hamming(approx.permutation_of(gh, word_images), compose(pg, ph))
             if defect > worst:

@@ -104,7 +104,7 @@ def test_literal_matches_core_rows():
     approx_lit, wit_lit = finite_index_witness(table, "literal")
     approx_core, wit_core = finite_index_witness(table, "core")
     carrier_lit = sorted(itertools.permutations(range(table.size)))
-    carrier_core = image_group(table, 10**6)
+    carrier_core = image_group(table.images, table.size, 10**6)
     index = {p: i for i, p in enumerate(carrier_lit)}
     for j, s in enumerate(carrier_core):
         # same witness rows and the same phi targets at embedded points

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,13 @@ def test_approx_config_errors_exit_2(tmp_path, capsys):
 
     cfg = write_job(tmp_path, {**COSET_JOB, "strategy": "huge"})
     assert main(["approx", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("value", [1.5, True, "x"])
+def test_approx_rejects_non_integer_cap(tmp_path, capsys, value):
+    cfg = write_job(tmp_path, {**COSET_JOB, "caps": {"core_cap": value}})
+    assert main(["approx", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error [config]: cap core_cap must be a positive integer\n"
 
 
 def test_approx_stage_error_names_the_stage(tmp_path, capsys):
@@ -237,3 +248,14 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "soficert.cli", "verify", str(tmp_path / "missing.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error [schema]: file:")

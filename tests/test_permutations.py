@@ -1,0 +1,103 @@
+"""Group orders from the Schreier-Sims chain against the closure that
+lists the group, and refusal of over-cap groups before enumeration."""
+
+import pytest
+import hypothesis.strategies as st
+from hypothesis import given
+
+import soficert.permutations as permutations
+import soficert.stallings as stallings
+from soficert.actions import CosetAction, canonical_point, separation_targets
+from soficert.builder import Caps, StageError, approximate
+from soficert.permutations import compose, identity_perm, order_bound
+from soficert.stallings import CoreTooLargeError, hall_completion, image_group
+from soficert.words import parse_word
+from test_acceptance import FIXTURES
+
+# the over-cap coset jobs of the roadmap: F = {a, b}, subgroup, E
+STRETCH = [
+    ([], ["1", "a", "b", "ab", "ba", "aa", "bb"]),
+    (["abAB"], ["1", "a", "b", "ab", "aab"]),
+    (["aabb"], ["1", "a", "b", "ab", "ba", "bb"]),
+]
+
+
+def separator(rank, sub, F, E):
+    """The Hall separator the coset pipeline builds for (H, F, E)."""
+    w = lambda t: parse_word(t, rank)
+    spec = CosetAction(rank, tuple(w(t) for t in sub))
+    points = [canonical_point(spec, w(t)) for t in E]
+    avoid, _ = separation_targets(spec, [w(t) for t in F], points)
+    return hall_completion(spec.graph, avoid)
+
+
+def naive_order(gens, degree):
+    """Size of the closure of the generators under composition."""
+    first = identity_perm(degree)
+    seen = {first}
+    frontier = [first]
+    while frontier:
+        frontier = [v for v in {compose(p, u) for u in frontier for p in gens} if v not in seen]
+        seen.update(frontier)
+    return len(seen)
+
+
+def test_chain_order_matches_closure_on_fixture_tables():
+    for rank, sub, F, E in FIXTURES:
+        table = separator(rank, sub, F, E)
+        assert order_bound(table.images, table.size) == len(
+            image_group(table.images, table.size)
+        ), (rank, sub, E)
+
+
+@st.composite
+def generator_sets(draw):
+    degree = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return [tuple(p) for p in gens], degree
+
+
+@given(generator_sets(), st.integers(1, 6000))
+def test_chain_order_matches_naive_closure(gens_degree, cap):
+    gens, degree = gens_degree
+    order = naive_order(gens, degree)
+    assert order_bound(gens, degree) == order
+    # a capped chain stops at a lower bound, above the cap exactly when the order is
+    bound = order_bound(gens, degree, cap)
+    assert bound <= order
+    assert (bound > cap) == (order > cap)
+
+
+def test_cap_boundary_builds_at_order_and_refuses_below():
+    rank, sub, F, E = 2, ["aba"], ["a", "b"], ["1", "a", "ab"]
+    table = separator(rank, sub, F, E)
+    order = order_bound(table.images, table.size)
+    assert order == 360
+    assert len(image_group(table.images, table.size, order)) == order
+    with pytest.raises(CoreTooLargeError, match=r"exceeds cap 359 on 6 points \(order at least"):
+        image_group(table.images, table.size, order - 1)
+
+    w = lambda t: parse_word(t, rank)
+    job = (CosetAction(rank, (w("aba"),)), [w(t) for t in F], [w(t) for t in E])
+    assert approximate(*job, caps=Caps(core_cap=order)).approx.size == order
+    with pytest.raises(StageError) as info:
+        approximate(*job, caps=Caps(core_cap=order - 1))
+    assert info.value.stage == "finite_index_witness"
+
+
+@pytest.mark.parametrize("sub,E", STRETCH)
+def test_stretch_tables_refused_before_enumeration(monkeypatch, sub, E):
+    table = separator(2, sub, ["a", "b"], E)
+    calls = 0
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(permutations, "compose", counted)
+    monkeypatch.setattr(stallings, "compose", counted)
+    with pytest.raises(CoreTooLargeError) as info:
+        image_group(table.images, table.size, 10**5)
+    assert str(info.value).startswith(f"image group exceeds cap 100000 on {table.size} points")
+    assert 0 < calls < 10**4

@@ -223,9 +223,9 @@ def test_walk_permutation_antihomomorphism():
 
 def test_image_group_and_cap():
     table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
-    assert len(image_group(table, 10**6)) == 3
+    assert len(image_group(table.images, table.size, 10**6)) == 3
     with pytest.raises(CoreTooLargeError):
-        image_group(table, 2)
+        image_group(table.images, table.size, 2)
 
 
 def test_normal_core_frozen():
@@ -239,7 +239,7 @@ def test_normal_core_is_normal_and_contained():
     # generator permutation is fixed-point-free or the identity (regular)
     table = CosetTable(2, 3, ((1, 2, 0), (0, 2, 1)))
     core = normal_core(table, 10**6)
-    assert core.size == len(image_group(table, 10**6))
+    assert core.size == len(image_group(table.images, table.size, 10**6))
     for img in core.images:
         moved = [x for x in range(core.size) if img[x] != x]
         assert moved == [] or len(moved) == core.size

@@ -22,7 +22,8 @@ from soficert.verifier import (
     mutate_certificate,
     verify_certificate,
 )
-from soficert.words import parse_word
+from soficert.permutations import compose, identity_perm, inverse
+from soficert.words import multiply, parse_word
 
 
 def w2(t):
@@ -98,6 +99,26 @@ def test_word_image_overrides_break_multiplicativity():
     approx = SoficApproximation("free", 1, 2, ((0, 1),))
     defect = check_multiplicative(approx, [w1("a")], word_images={"aa": (1, 0)})
     assert defect == 1
+
+
+def test_multiplicative_defect_of_non_permutation_images():
+    # phi(g) evaluated from scratch for every pair, inverting a generator
+    # image at every inverse letter: the cached inverses must agree, even
+    # where an image is not a permutation and its "inverse" is not one
+    approx = SoficApproximation("free", 2, 4, ((1, 1, 2, 3), (0, 2, 3, 1)))
+    F = [w2(t) for t in ("a", "b", "A", "aB", "Ba")]
+
+    def phi(w):
+        perm = identity_perm(approx.size)
+        for l in w.letters:
+            img = approx.images[abs(l) - 1]
+            perm = compose(perm, img if l > 0 else inverse(img))
+        return perm
+
+    expected = max(hamming(phi(multiply(g, h)), compose(phi(g), phi(h))) for g in F for h in F)
+    assert expected > 0
+    assert check_multiplicative(approx, F) == expected
+    assert approx.inverse_images is approx.inverse_images
 
 
 def test_word_image_overrides_break_unital():
