@@ -27,6 +27,7 @@ import itertools
 import json
 import os
 import random
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -595,7 +596,7 @@ def _label_from_json(l, where: str):
     if isinstance(l, list):
         _expect(len(l) == 2, where, f"tagged label {l!r} must be a pair")
         return tuple(_label_from_json(x, where) for x in l)
-    _expect(isinstance(l, int), where, f"label {l!r} must be an integer or pair")
+    _expect(type(l) is int, where, f"label {l!r} must be an integer or pair")
     return l
 
 
@@ -620,6 +621,19 @@ def write_certificate(cert: Certificate, path: str) -> None:
     with open(tmp, "w") as fh:
         fh.write(payload)
     os.replace(tmp, path)
+
+
+# a zero denominator has no nonzero digit
+_EPSILON = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def epsilon_from_json(value) -> Fraction:
+    """The tolerance as job configs, certificates and ``verify --epsilon``
+    write it: a nonnegative integer or a "p/q" string.  Booleans, floats
+    and decimal or exponent strings raise ValueError."""
+    if type(value) is int and value >= 0 or isinstance(value, str) and _EPSILON.fullmatch(value):
+        return Fraction(value)
+    raise ValueError(f"epsilon must be a nonnegative integer or 'p/q' string, not {value!r}")
 
 
 def _expect(cond: bool, where: str, what: str) -> None:
@@ -657,13 +671,12 @@ def certificate_from_dict(data: dict) -> Certificate:
         _expect(canon.letters == w.letters, "E",
                 f"{t!r} is not the canonical name of its point (expected {canon.text()!r})")
     try:
-        epsilon = Fraction(data["epsilon"])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CertificateFormatError(f"epsilon: {exc}") from exc
-    _expect(epsilon >= 0, "epsilon", "must be nonnegative")
+        epsilon = epsilon_from_json(data["epsilon"])
+    except ValueError as exc:
+        raise CertificateFormatError(str(exc)) from exc
 
     size = data["carrier_size"]
-    _expect(isinstance(size, int) and size >= 1, "carrier_size", "must be a positive integer")
+    _expect(type(size) is int and size >= 1, "carrier_size", "must be a positive integer")
     group_kind = "product" if isinstance(action, BiregularAction) else "free"
     rank = acting_rank(action)
     expected_arrays = rank if group_kind == "free" else 2 * rank
@@ -674,11 +687,11 @@ def certificate_from_dict(data: dict) -> Certificate:
         _expect(isinstance(arr, list) and len(arr) == size,
                 f"generator_images[{i}]", f"expected length {size}")
         for x in arr:
-            _expect(isinstance(x, int) and 0 <= x < size,
+            _expect(type(x) is int and 0 <= x < size,
                     f"generator_images[{i}]", f"entry {x!r} out of range")
     s_points = data["S"]
     _expect(isinstance(s_points, list), "S", "must be a list")
-    _expect(all(isinstance(s, int) and 0 <= s < size for s in s_points),
+    _expect(all(type(s) is int and 0 <= s < size for s in s_points),
             "S", "entries must be carrier indices")
     _expect(sorted(set(s_points)) == s_points, "S", "must be strictly increasing")
     b_labels = data["B"]
@@ -692,7 +705,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         _expect(isinstance(row, list) and len(row) == len(E),
                 f"pi[{i}]", f"expected {len(E)} entries")
         for v in row:
-            _expect(isinstance(v, int) and 0 <= v < len(b_labels),
+            _expect(type(v) is int and 0 <= v < len(b_labels),
                     f"pi[{i}]", f"entry {v!r} is not a B index")
     approx = SoficApproximation(group_kind, rank, size, tuple(tuple(a) for a in imgs))
     witness = OrbitWitness(tuple(s_points), tuple(canon_labels), tuple(tuple(r) for r in pi))

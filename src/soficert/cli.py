@@ -35,6 +35,7 @@ from .builder import (
     StageError,
     approximate,
     certificate_to_dict,
+    epsilon_from_json,
     write_certificate,
 )
 from .stallings import (
@@ -76,9 +77,7 @@ def job_from_dict(data: dict) -> JobConfig:
     F = tuple(parse_element(action, item) for item in data["F"])
     rank = point_rank(action)
     E = tuple(parse_word(t, rank) for t in data["E"])
-    epsilon = Fraction(str(data.get("epsilon", "0")))
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    epsilon = epsilon_from_json(data.get("epsilon", 0))
     strategy = data.get("strategy", "core")
     if strategy not in ("core", "literal"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -92,7 +91,7 @@ def job_from_dict(data: dict) -> JobConfig:
             raise ValueError(f"cap {cap.name} must be a positive integer")
     out = data.get("out")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ValueError("seed must be an integer")
     return JobConfig(action, F, E, epsilon, strategy, caps, out, seed)
 
@@ -147,8 +146,8 @@ def cmd_verify(args) -> int:
     epsilon = None
     if args.epsilon is not None:
         try:
-            epsilon = Fraction(args.epsilon)
-        except (ValueError, ZeroDivisionError) as exc:
+            epsilon = epsilon_from_json(args.epsilon)
+        except ValueError as exc:
             print(f"error [epsilon]: {exc}", file=sys.stderr)
             return 2
     try:

@@ -25,12 +25,12 @@ Conventions fixed once and shared by every module:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .permutations import compose, identity_perm, inverse, order_bound
-from .words import Word, identity, invert, letter_key
+from .words import Word, invert
 
 DEFAULT_CORE_CAP = 10**6
 
@@ -80,9 +80,6 @@ class StallingsGraph:
             state = nxt
         return state
 
-    def degree(self, vertex: int) -> int:
-        return sum(1 for (v, _l) in self._steps if v == vertex)
-
     def dump(self) -> str:
         lines = [f"rank: {self.rank}", f"vertices: {self.vertex_count}", "basepoint: 0"]
         for u, l, v in self.edges:
@@ -102,13 +99,20 @@ def signed_letters(rank: int) -> tuple[int, ...]:
     return _SIGNED_LETTERS_CACHE[rank]
 
 
-def _fold(edges: set[tuple[int, int, int]], n: int) -> tuple[set[tuple[int, int, int]], dict[int, int]]:
-    """Fold: repeatedly merge the smallest clashing vertex pair until deterministic.
+def _fold(edges: set[tuple[int, int, int]], n: int) -> set[tuple[int, int, int]]:
+    """Fold to the unique deterministic quotient by a union-find worklist.
 
-    Returns the folded edge set over representative vertices and the map
-    vertex -> representative.
+    Each class root maps signed letters to a neighbour.  A half-edge
+    whose letter is already mapped to another class merges the two
+    classes, and the smaller class's map goes back on the worklist, so
+    the work is near-linear in the edge count (Touikan 2006).  The
+    basepoint 0 always stays a root.  Returns the folded edge set over
+    root vertices.
     """
     parent = list(range(n))
+    size = [1] * n
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    pending = [(u, l, v) for u, l, v in edges] + [(v, -l, u) for u, l, v in edges]
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -116,24 +120,17 @@ def _fold(edges: set[tuple[int, int, int]], n: int) -> tuple[set[tuple[int, int,
             v = parent[v]
         return v
 
-    while True:
-        canon = {(find(u), l, find(v)) for u, l, v in edges}
-        clash: tuple[int, int] | None = None
-        out: dict[tuple[int, int], int] = {}
-        inc: dict[tuple[int, int], int] = {}
-        for u, l, v in sorted(canon):
-            for table, key, other in ((out, (u, l), v), (inc, (v, l), u)):
-                seen = table.get(key)
-                if seen is None:
-                    table[key] = other
-                elif seen != other:
-                    pair = (min(seen, other), max(seen, other))
-                    if clash is None or pair < clash:
-                        clash = pair
-        if clash is None:
-            return canon, {v: find(v) for v in range(n)}
-        a, b = clash
-        parent[find(b)] = find(a)
+    while pending:
+        u, l, v = pending.pop()
+        a, b = find(out[find(u)].setdefault(l, v)), find(v)
+        if a == b:
+            continue
+        if b == 0 or (a != 0 and size[a] < size[b]):
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        pending.extend((a, l, v) for l, v in out[b].items())
+    return {(u, l, find(v)) for u in range(n) if parent[u] == u for l, v in out[u].items() if l > 0}
 
 
 def _canonical(rank: int, edges: set[tuple[int, int, int]], base: int) -> StallingsGraph:
@@ -155,19 +152,6 @@ def _canonical(rank: int, edges: set[tuple[int, int, int]], base: int) -> Stalli
     return StallingsGraph(rank, len(order), tuple(renamed))
 
 
-def _prune(edges: set[tuple[int, int, int]], base: int) -> set[tuple[int, int, int]]:
-    """Drop non-basepoint vertices of degree <= 1 until none remain."""
-    while True:
-        degree: dict[int, int] = {}
-        for u, l, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        dead = {v for v, d in degree.items() if d <= 1 and v != base}
-        if not dead:
-            return edges
-        edges = {(u, l, v) for u, l, v in edges if u not in dead and v not in dead}
-
-
 def core_graph(generators: Sequence[Word], rank: int) -> StallingsGraph:
     """Folded core graph of the subgroup generated by ``generators``."""
     edges: set[tuple[int, int, int]] = set()
@@ -187,8 +171,7 @@ def core_graph(generators: Sequence[Word], rank: int) -> StallingsGraph:
             else:
                 edges.add((nxt, -l, cur))
             cur = nxt
-    folded, _ = _fold(edges, fresh)
-    return _canonical(rank, _prune(folded, 0), 0)
+    return _canonical(rank, _fold(edges, fresh), 0)
 
 
 def contains(graph: StallingsGraph, w: Word) -> bool:
@@ -285,8 +268,7 @@ def hall_completion(graph: StallingsGraph, avoid: Sequence[Word]) -> CosetTable:
                 edges.add((fresh, -l, cur))
             cur = fresh
             fresh += 1
-    folded, _ = _fold(edges, fresh)
-    merged = _canonical(graph.rank, folded, 0)
+    merged = _canonical(graph.rank, _fold(edges, fresh), 0)
     for w in avoid:
         if merged.trace(w) == 0:  # cannot happen after the membership precondition
             raise InseparableError(w)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,25 @@ def test_approx_rejects_non_integer_cap(tmp_path, capsys, value):
     assert capsys.readouterr().err == "error [config]: cap core_cap must be a positive integer\n"
 
 
+@pytest.mark.parametrize("patch", [
+    {"epsilon": 0.5},
+    {"epsilon": "1e-1"},
+    {"epsilon": "0.5"},
+    {"epsilon": True},
+    {"epsilon": "1/0"},
+    {"seed": True},
+])
+def test_approx_rejects_epsilon_not_integer_or_ratio_and_bool_seed(tmp_path, capsys, patch):
+    cfg = write_job(tmp_path, {**COSET_JOB, **patch})
+    assert main(["approx", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"error [config]: {next(iter(patch))}")
+
+
+def test_job_epsilon_is_an_integer_or_ratio_string():
+    for value, expected in [(0, 0), (1, 1), ("0", 0), ("1/10", Fraction(1, 10))]:
+        assert job_from_dict({**COSET_JOB, "epsilon": value}).epsilon == expected
+
+
 def test_approx_stage_error_names_the_stage(tmp_path, capsys):
     cfg = write_job(
         tmp_path,
@@ -177,11 +197,45 @@ def test_verify_schema_and_file_errors_exit_2(tmp_path, capsys):
     assert "carrier_size" in capsys.readouterr().err
 
 
+# certificates whose every carrier entry, S entry, label and pi entry is 0 or 1
+ONE_POINT_JOB = {"action": {"kind": "coset", "rank": 1, "subgroup": ["a"]}, "F": ["a"], "E": ["1"]}
+TWO_POINT_JOB = {"action": {"kind": "coset", "rank": 1, "subgroup": ["aa"]}, "F": ["a"], "E": ["1", "a"]}
+
+
+@pytest.mark.parametrize("job, field, value", [
+    (ONE_POINT_JOB, "carrier_size", True),
+    (TWO_POINT_JOB, "generator_images", [[True, False]]),
+    (TWO_POINT_JOB, "S", [False, True]),
+    (TWO_POINT_JOB, "B", [False, True]),
+    (TWO_POINT_JOB, "pi", [[False, True], [True, False]]),
+    (TWO_POINT_JOB, "epsilon", 0.5),
+    (TWO_POINT_JOB, "epsilon", "1e-1"),
+    (TWO_POINT_JOB, "epsilon", True),
+])
+def test_verify_rejects_bools_and_non_ratio_epsilon_as_schema_errors(
+    tmp_path, capsys, job, field, value
+):
+    cfg = write_job(tmp_path, job)
+    out = str(tmp_path / "cert.json")
+    assert main(["approx", "--config", cfg, "--out", out]) == 0
+    data = json.loads(open(out).read())
+    if field != "epsilon":
+        assert data[field] == value  # equal as numbers, so the type is the only fault
+    data[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error [schema]: {field}")
+
+
 def test_verify_epsilon_override(tmp_path, capsys):
     out = built_cert_path(tmp_path)
     capsys.readouterr()
     assert main(["verify", out, "--epsilon", "1/10"]) == 0
-    assert main(["verify", out, "--epsilon", "bogus"]) == 2
+    for bad in ("bogus", "-1/2", "0.5", "1e-1", "1/0"):
+        assert main(["verify", out, f"--epsilon={bad}"]) == 2
+        assert capsys.readouterr().err.startswith("error [epsilon]: ")
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +304,24 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
-def test_module_entry_point_runs_the_cli(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "soficert.cli", "verify", str(tmp_path / "missing.json")],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    proc = run_python("-m", "soficert.cli", "verify", str(tmp_path / "missing.json"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error [schema]: file:")
+
+
+@pytest.mark.parametrize("script", ["demo_pipeline.py", "separator_growth.py"])
+def test_script_runs(script):
+    proc = run_python(str(ROOT / "scripts" / script))
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
+from soficert import stallings
 from soficert.permutations import compose, inverse
 from soficert.stallings import (
     CoreTooLargeError,
@@ -19,7 +21,7 @@ from soficert.stallings import (
     normal_core,
     schreier_representative,
 )
-from soficert.words import Word, identity, invert, multiply, parse_word
+from soficert.words import Word, free_reduce, identity, invert, multiply, parse_word
 
 
 def w2(t):
@@ -119,6 +121,84 @@ def test_generated_elements_are_members(gens, pick):
     for i in range(3):
         word = multiply(word, factors[(pick + i) % len(factors)])
     assert contains(graph, word)
+
+
+# ---------------------------------------------------------------------------
+# the worklist fold against the reference fold it replaced
+
+
+def _reference_fold(edges: set[tuple[int, int, int]], n: int) -> tuple[set[tuple[int, int, int]], dict[int, int]]:
+    """Fold: repeatedly merge the smallest clashing vertex pair until deterministic.
+
+    Returns the folded edge set over representative vertices and the map
+    vertex -> representative.
+    """
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    while True:
+        canon = {(find(u), l, find(v)) for u, l, v in edges}
+        clash: tuple[int, int] | None = None
+        out: dict[tuple[int, int], int] = {}
+        inc: dict[tuple[int, int], int] = {}
+        for u, l, v in sorted(canon):
+            for table, key, other in ((out, (u, l), v), (inc, (v, l), u)):
+                seen = table.get(key)
+                if seen is None:
+                    table[key] = other
+                elif seen != other:
+                    pair = (min(seen, other), max(seen, other))
+                    if clash is None or pair < clash:
+                        clash = pair
+        if clash is None:
+            return canon, {v: find(v) for v in range(n)}
+        a, b = clash
+        parent[find(b)] = find(a)
+
+
+@st.composite
+def fold_inputs(draw):
+    rank = draw(st.integers(min_value=1, max_value=3))
+    letter = st.sampled_from([l for i in range(1, rank + 1) for l in (i, -i)])
+    words = st.lists(letter, min_size=1, max_size=7).map(lambda ls: free_reduce(ls, rank))
+    gens = draw(st.lists(words, max_size=3))
+    avoid = draw(st.lists(words, max_size=3))
+    return rank, gens, avoid
+
+
+def fold_outcome(rank, gens, avoid):
+    graph = core_graph(gens, rank)
+    try:
+        table = hall_completion(graph, avoid)
+    except InseparableError as exc:
+        return graph, ("inseparable", exc.word)
+    return graph, (table.size, table.images)
+
+
+@given(fold_inputs())
+def test_worklist_fold_matches_reference_fold(case):
+    rank, gens, avoid = case
+    graph, separator = fold_outcome(rank, gens, avoid)
+    with mock.patch.object(stallings, "_fold", lambda edges, n: _reference_fold(edges, n)[0]):
+        assert fold_outcome(rank, gens, avoid) == (graph, separator)
+    # a folded core graph has no hair: a non-basepoint vertex of degree
+    # <= 1 would need a generator to read some letter and then its inverse
+    degree = [0] * graph.vertex_count
+    for u, _l, v in graph.edges:
+        degree[u] += 1
+        degree[v] += 1
+    assert all(d >= 2 for d in degree[1:])
+
+
+def test_cascade_folds_to_one_vertex():
+    n = 2000
+    gens = [w2("a" * n), w2("a" * (n + 1)), w2("b" * n), w2("b" * (n - 1))]
+    assert shape(core_graph(gens, 2)) == (1, ((0, 1, 0), (0, 2, 0)))
 
 
 # ---------------------------------------------------------------------------
