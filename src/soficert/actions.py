@@ -17,13 +17,13 @@ Three action kinds are supported:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
 from . import stallings
 from .stallings import StallingsGraph, core_graph, signed_letters
-from .words import Word, identity, invert, letter_key, multiply, parse_word, product
+from .words import Word, identity, invert, multiply, parse_word, product
 
 
 @dataclass(frozen=True)
@@ -425,17 +425,33 @@ def action_to_json(spec: ActionSpec) -> dict:
 
 
 def action_from_json(data: dict) -> ActionSpec:
+    if not isinstance(data, dict):
+        raise TypeError(f"action must be an object, not {data!r}")
     kind = data.get("kind")
     if kind == "coset":
-        rank = data["rank"]
-        return CosetAction(rank, tuple(parse_word(t, rank) for t in data["subgroup"]))
+        rank = _json_field(data, "rank", int)
+        return CosetAction(rank, tuple(parse_word(t, rank) for t in _json_field(data, "subgroup", list)))
     if kind == "biregular":
-        return BiregularAction(data["rank"])
+        return BiregularAction(_json_field(data, "rank", int))
     if kind == "restricted":
-        inner = action_from_json(data["inner"])
-        images = tuple(parse_element(inner, item) for item in data["images"])
+        inner = action_from_json(_json_field(data, "inner", dict))
+        images = tuple(parse_element(inner, item) for item in _json_field(data, "images", list))
         return RestrictedAction(inner, images)
     raise ValueError(f"unknown action kind {kind!r}")
+
+
+_JSON_TYPE_NAMES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _json_field(data: dict, key: str, kind: type):
+    """``data[key]``, which must be present and of exactly the JSON type
+    ``kind`` (so ``true`` is not an integer)."""
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    value = data[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, not {value!r}")
+    return value
 
 
 def parse_element(spec: ActionSpec, data) -> GroupElement:

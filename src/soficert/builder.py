@@ -28,7 +28,7 @@ import json
 import os
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -114,11 +114,12 @@ class SoficApproximation:
         return tuple(inverse(img) for img in self.images)
 
     def _eval_word(self, w: Word, offset: int) -> tuple[int, ...]:
-        perm = identity_perm(self.size)
+        perm = None
         for l in w.letters:
             i = offset + abs(l) - 1
-            perm = compose(perm, self.images[i] if l > 0 else self.inverse_images[i])
-        return perm
+            image = self.images[i] if l > 0 else self.inverse_images[i]
+            perm = tuple(image) if perm is None else compose(perm, image)
+        return identity_perm(self.size) if perm is None else perm
 
     def permutation_of(
         self, g: GroupElement, word_images: Mapping[str, tuple[int, ...]] | None = None
@@ -245,9 +246,6 @@ class _FiniteQuotient:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def index_of(self, p: tuple[int, ...]) -> int:
-        return self.elements.index(p)
 
     def map_word(self, w: Word) -> tuple[int, ...]:
         perm = identity_perm(self.degree)
@@ -641,6 +639,20 @@ def _expect(cond: bool, where: str, what: str) -> None:
         raise CertificateFormatError(f"{where}: {what}")
 
 
+def _indices_below(values, bound: int) -> bool:
+    """Whether every entry is an int (not a bool) in range(bound), decided
+    on the whole array: the set of entry types, then min and max."""
+    return not values or set(map(type, values)) == {int} and min(values) >= 0 and max(values) < bound
+
+
+def _expect_each_below(values, bound: int, where: str, what: str) -> None:
+    """Entry by entry, raise at the first one that is not an int in
+    range(bound); ``what`` is formatted with that entry."""
+    for x in values:
+        if not (type(x) is int and 0 <= x < bound):
+            raise CertificateFormatError(f"{where}: {what.format(x)}")
+
+
 def certificate_from_dict(data: dict) -> Certificate:
     """Validate the JSON form field by field and rebuild the Certificate.
 
@@ -657,6 +669,8 @@ def certificate_from_dict(data: dict) -> Certificate:
         action = action_from_json(data["action"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError(f"action: {exc}") from exc
+    _expect(isinstance(data["F"], list), "F", "must be a list")
+    _expect(isinstance(data["E"], list), "E", "must be a list")
     try:
         F = tuple(parse_element(action, item) for item in data["F"])
     except (TypeError, ValueError) as exc:
@@ -686,13 +700,11 @@ def certificate_from_dict(data: dict) -> Certificate:
     for i, arr in enumerate(imgs):
         _expect(isinstance(arr, list) and len(arr) == size,
                 f"generator_images[{i}]", f"expected length {size}")
-        for x in arr:
-            _expect(type(x) is int and 0 <= x < size,
-                    f"generator_images[{i}]", f"entry {x!r} out of range")
+        if not _indices_below(arr, size):
+            _expect_each_below(arr, size, f"generator_images[{i}]", "entry {!r} out of range")
     s_points = data["S"]
     _expect(isinstance(s_points, list), "S", "must be a list")
-    _expect(all(type(s) is int and 0 <= s < size for s in s_points),
-            "S", "entries must be carrier indices")
+    _expect(_indices_below(s_points, size), "S", "entries must be carrier indices")
     _expect(sorted(set(s_points)) == s_points, "S", "must be strictly increasing")
     b_labels = data["B"]
     _expect(isinstance(b_labels, list), "B", "must be a list")
@@ -701,14 +713,15 @@ def certificate_from_dict(data: dict) -> Certificate:
     pi = data["pi"]
     _expect(isinstance(pi, list) and len(pi) == len(s_points),
             "pi", f"expected {len(s_points)} rows")
-    for i, row in enumerate(pi):
-        _expect(isinstance(row, list) and len(row) == len(E),
-                f"pi[{i}]", f"expected {len(E)} entries")
-        for v in row:
-            _expect(type(v) is int and 0 <= v < len(b_labels),
-                    f"pi[{i}]", f"entry {v!r} is not a B index")
-    approx = SoficApproximation(group_kind, rank, size, tuple(tuple(a) for a in imgs))
-    witness = OrbitWitness(tuple(s_points), tuple(canon_labels), tuple(tuple(r) for r in pi))
+    rows_ok = set(map(type, pi)) <= {list} and set(map(len, pi)) <= {len(E)}
+    if not (rows_ok and _indices_below(list(itertools.chain.from_iterable(pi)), len(b_labels))):
+        # the first bad row or entry, in file order
+        for i, row in enumerate(pi):
+            _expect(isinstance(row, list) and len(row) == len(E),
+                    f"pi[{i}]", f"expected {len(E)} entries")
+            _expect_each_below(row, len(b_labels), f"pi[{i}]", "entry {!r} is not a B index")
+    approx = SoficApproximation(group_kind, rank, size, tuple(map(tuple, imgs)))
+    witness = OrbitWitness(tuple(s_points), tuple(canon_labels), tuple(map(tuple, pi)))
     provenance = data.get("provenance", {})
     _expect(isinstance(provenance, dict), "provenance", "must be an object")
     return Certificate(action, F, E, epsilon, approx, witness, provenance)

@@ -38,13 +38,9 @@ from .builder import (
     epsilon_from_json,
     write_certificate,
 )
-from .stallings import (
-    CoreTooLargeError,
-    InseparableError,
-    core_graph,
-    hall_completion,
-)
+from .stallings import InseparableError, core_graph, hall_completion
 from .verifier import (
+    MUTATION_KINDS,
     brute_force_witness,
     check_orbit_witness,
     mutate_certificate,
@@ -73,6 +69,9 @@ def job_from_dict(data: dict) -> JobConfig:
     for key in ("action", "F", "E"):
         if key not in data:
             raise ValueError(f"job config missing {key!r}")
+    for key in ("F", "E"):
+        if not isinstance(data[key], list):
+            raise ValueError(f"{key} must be a list, not {data[key]!r}")
     action = action_from_json(data["action"])
     F = tuple(parse_element(action, item) for item in data["F"])
     rank = point_rank(action)
@@ -290,23 +289,29 @@ def oracle_agreement(certs) -> list[dict]:
 
 def mutation_battery(bases, count: int, seed: int) -> list[dict]:
     """``count`` random single-entry mutations spread over the base
-    certificates, each re-verified; records which clause rejected it."""
+    certificates, each re-verified; records which clause rejected it,
+    "schema" for a file the parser refuses."""
     rng = random.Random(seed)
     dicts = [certificate_to_dict(c) for c in bases]
     results = []
     attempts = 0
     while len(results) < count and attempts < 100 * count + 100:
         attempts += 1
-        m = mutate_certificate(dicts[attempts % len(dicts)], rng)
+        m = mutate_certificate(dicts[attempts % len(dicts)], rng, rng.choice(MUTATION_KINDS))
         if m is None:
             continue
         mutated, kind, description = m
-        report = verify_certificate(mutated)
+        try:
+            report = verify_certificate(mutated)
+        except CertificateFormatError:
+            killed, clause = True, "schema"
+        else:
+            killed, clause = not report.accepted, report.first_failure
         results.append({
             "kind": kind,
             "description": description,
-            "killed": not report.accepted,
-            "clause": report.first_failure,
+            "killed": killed,
+            "clause": clause,
         })
     return results
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Sequence
 
 
@@ -11,8 +12,13 @@ def identity_perm(n: int) -> tuple[int, ...]:
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """p after q: (p . q)[i] = p[q[i]]."""
-    return tuple(p[x] for x in q)
+    """p after q: (p . q)[i] = p[q[i]], gathered in one C call.
+
+    ``itemgetter`` returns a bare item for one index and cannot be built
+    from none, so degrees 0 and 1 are spelled out."""
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    return (p[q[0]],) if q else ()
 
 
 def inverse(p: Sequence[int]) -> tuple[int, ...]:

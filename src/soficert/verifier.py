@@ -24,11 +24,12 @@ syntactic word identity.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .actions import ActionSpec, act, element_invert, element_text
+from .actions import ActionSpec, act, element_invert, element_multiply, element_text
 from .builder import (
     Certificate,
     OrbitWitness,
@@ -37,7 +38,7 @@ from .builder import (
     load_certificate,
 )
 from .permutations import compose, identity_perm, is_permutation
-from .words import Word, multiply
+from .words import Word
 
 WordImages = Mapping[str, Sequence[int]]
 
@@ -46,7 +47,7 @@ def hamming(p: Sequence[int], q: Sequence[int]) -> Fraction:
     """Normalized Hamming distance |{i : p(i) != q(i)}| / |A|."""
     if len(p) != len(q):
         raise ValueError(f"carrier size mismatch: {len(p)} vs {len(q)}")
-    return Fraction(sum(1 for a, b in zip(p, q) if a != b), len(p))
+    return Fraction(sum(map(operator.ne, p, q)), len(p))
 
 
 def check_unital(approx: SoficApproximation, word_images: WordImages | None = None) -> bool:
@@ -67,22 +68,19 @@ def check_multiplicative(
     F: Sequence,
     word_images: WordImages | None = None,
 ) -> Fraction:
-    """Max defect d(phi(gh), phi(g) . phi(h)) over (g, h) in F x F; 0 when F is empty."""
+    """Max defect d(phi(gh), phi(g) . phi(h)) over (g, h) in F x F; 0 when F is empty.
+
+    phi(gh) is evaluated from the generator images for every pair; the
+    distance is counted only where the two arrays differ."""
     worst = Fraction(0)
     images = [approx.permutation_of(g, word_images) for g in F]
     for g, pg in zip(F, images):
         for h, ph in zip(F, images):
-            gh = _multiply_elements(g, h)
-            defect = hamming(approx.permutation_of(gh, word_images), compose(pg, ph))
-            if defect > worst:
-                worst = defect
+            direct = approx.permutation_of(element_multiply(g, h), word_images)
+            product = compose(pg, ph)
+            if direct != product:
+                worst = max(worst, hamming(direct, product))
     return worst
-
-
-def _multiply_elements(g, h):
-    if isinstance(g, tuple):
-        return (multiply(g[0], h[0]), multiply(g[1], h[1]))
-    return multiply(g, h)
 
 
 @dataclass(frozen=True)
@@ -106,24 +104,29 @@ def check_orbit_witness(
     """Cardinality, injectivity and equivariance clauses of the witness.
 
     Reports every violation, each tagged with the (s, g, x) data that
-    produced it.
+    produced it, in (g, s, x) order.  Equivariance is checked a column
+    pair at a time: column x of pi, gathered through phi(g), must equal
+    column g^-1.x; only a pair that differs is walked point by point.
     """
     size = approx.size
     s_list = list(witness.s_points)
-    s_pos = {s: p for p, s in enumerate(s_list)}
     ratio = Fraction(len(s_list), size)
     if epsilon == 0:
         cardinality_ok = len(s_list) == size
     else:
         cardinality_ok = ratio > 1 - epsilon
 
+    pi = witness.pi
     injectivity_failures = []
-    for p, s in enumerate(s_list):
-        row = witness.pi[p]
-        if len(set(row)) != len(row):
-            dup = next(v for v in row if row.count(v) > 1)
-            injectivity_failures.append(f"pi at s={s} repeats B index {dup}")
+    repeats = map(operator.ne, map(len, map(set, pi)), map(len, pi))
+    for p in itertools.compress(range(len(s_list)), repeats):
+        row = pi[p]
+        dup = next(v for v in row if row.count(v) > 1)
+        injectivity_failures.append(f"pi at s={s_list[p]} repeats B index {dup}")
 
+    exact = s_list == list(range(size))
+    s_pos = None if exact else {s: p for p, s in enumerate(s_list)}
+    columns = list(zip(*pi))
     e_index = {x.letters: i for i, x in enumerate(E)}
     equivariance_failures = []
     triples = 0
@@ -136,19 +139,30 @@ def check_orbit_witness(
             j = e_index.get(y.letters)
             if j is not None:
                 col_map[i] = j
-        for s in s_list:
-            fs = perm[s]
-            fp = s_pos.get(fs)
-            if fp is None:
-                continue
-            p = s_pos[s]
-            for i, j in col_map.items():
-                triples += 1
-                if witness.pi[fp][i] != witness.pi[p][j]:
-                    equivariance_failures.append(
-                        f"pi_(phi(g)s)(x) != pi_s(g^-1.x) at s={s}, "
-                        f"g={element_text(g)!r}, x={E[i].text()!r}"
-                    )
+        if not col_map:
+            continue
+        # the rows p whose point s has phi(g)s in S, and the rows of those phi(g)s
+        if exact:
+            rows, moved = range(size), perm
+        else:
+            pairs = [(p, s_pos[t]) for p, t in enumerate(map(perm.__getitem__, s_list))
+                     if t in s_pos]
+            rows, moved = [p for p, _ in pairs], [fp for _, fp in pairs]
+        triples += len(rows) * len(col_map)
+        if not rows:
+            continue
+        bad = []
+        for i, j in col_map.items():
+            ahead = compose(columns[i], moved)
+            here = columns[j] if exact else compose(columns[j], rows)
+            if ahead != here:
+                bad.extend((rows[k], i) for k in range(len(rows)) if ahead[k] != here[k])
+        bad.sort()
+        for p, i in bad:
+            equivariance_failures.append(
+                f"pi_(phi(g)s)(x) != pi_s(g^-1.x) at s={s_list[p]}, "
+                f"g={element_text(g)!r}, x={E[i].text()!r}"
+            )
     return OrbitCheck(
         ratio,
         cardinality_ok,
@@ -375,23 +389,29 @@ def _assign_rows(s_list, gen_data, n_cols, b):
 # ---------------------------------------------------------------------------
 # mutation tooling
 
-MUTATION_KINDS = ("generator-entry", "pi-duplicate", "s-shrink", "pi-swap")
+CLAUSE_MUTATION_KINDS = ("generator-entry", "pi-duplicate", "s-shrink", "pi-swap")
+SCHEMA_MUTATION_KINDS = ("bool-for-int", "wrong-type", "float-epsilon")
+MUTATION_KINDS = CLAUSE_MUTATION_KINDS + SCHEMA_MUTATION_KINDS
 
 
 def mutate_certificate(data: dict, rng, kind: str | None = None):
     """One random single-entry mutation of a certificate JSON dict.
 
     Returns (mutated copy, kind, description), or None when the chosen
-    kind has nothing to act on (caller retries).  The first three kinds
-    break a clause structurally (bijectivity, injectivity, cardinality
-    at epsilon 0); "pi-swap" preserves injectivity and is kept only if a
-    direct recomputation of the equivariance identity — independent of
-    the verifier's code path — finds a violated triple.
+    kind has nothing to act on (caller retries).  The clause kinds break
+    a verifier clause: the first three structurally (bijectivity,
+    injectivity, cardinality at epsilon 0); "pi-swap" preserves
+    injectivity and is kept only if a direct recomputation of the
+    equivariance identity — independent of the verifier's code path —
+    finds a violated triple.  The schema kinds put ``true`` or a string
+    where an integer index belongs, or a float in ``epsilon``, so
+    parsing the file raises CertificateFormatError.  Without a ``kind``
+    a clause kind is drawn.
     """
     import copy
 
     if kind is None:
-        kind = rng.choice(MUTATION_KINDS)
+        kind = rng.choice(CLAUSE_MUTATION_KINDS)
     out = copy.deepcopy(data)
     size = data["carrier_size"]
     if kind == "generator-entry":
@@ -432,6 +452,22 @@ def mutate_certificate(data: dict, rng, kind: str | None = None):
         if not _swap_breaks_equivariance(out):
             return None
         return out, kind, f"swapped pi[{p}][{i}] and pi[{p}][{j}]"
+    if kind in ("bool-for-int", "wrong-type"):
+        arrays = {"generator_images": out["generator_images"], "S": [out["S"]], "pi": out["pi"]}
+        fields = [name for name, rows in arrays.items() if any(rows)]
+        if not fields:
+            return None
+        name = rng.choice(fields)
+        k = rng.choice([k for k, row in enumerate(arrays[name]) if row])
+        row = arrays[name][k]
+        i = rng.randrange(len(row))
+        old = row[i]
+        row[i] = True if kind == "bool-for-int" else str(old)
+        where = f"S[{i}]" if name == "S" else f"{name}[{k}][{i}]"
+        return out, kind, f"{where}: {old!r} -> {row[i]!r}"
+    if kind == "float-epsilon":
+        out["epsilon"] = float(Fraction(data["epsilon"]))
+        return out, kind, f"epsilon: {data['epsilon']!r} -> {out['epsilon']!r}"
     raise ValueError(f"unknown mutation kind {kind!r}")
 
 

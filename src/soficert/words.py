@@ -80,6 +80,8 @@ def free_reduce(letters: Iterable[int], rank: int) -> Word:
 
 def parse_word(text: str, rank: int) -> Word:
     """Parse ``a-z``/``A-Z`` text; ``"1"`` and ``""`` denote the identity."""
+    if not isinstance(text, str):
+        raise TypeError(f"word {text!r} must be a string")
     if text in ("", "1"):
         return identity(rank)
     letters = []

@@ -229,6 +229,50 @@ def test_verify_rejects_bools_and_non_ratio_epsilon_as_schema_errors(
     assert capsys.readouterr().err.startswith(f"error [schema]: {field}")
 
 
+# a word is a JSON string, a word list a JSON list, a rank an int that is
+# not a bool, an action an object with every field of its kind
+WORD_SCHEMA_CASES = {
+    "F-string": lambda d: d.update(F="ab"),
+    "F-nested-list": lambda d: d.update(F=[["a", "b"]]),
+    "E-string": lambda d: d.update(E="1"),
+    "subgroup-string": lambda d: d["action"].update(subgroup="a"),
+    "rank-true": lambda d: d["action"].update(rank=True),
+    "action-list": lambda d: d.update(action=[]),
+    "subgroup-missing": lambda d: d["action"].pop("subgroup"),
+}
+WORD_SCHEMA_ERRORS = {
+    "F-string": ("F", "must be a list"),
+    "F-nested-list": ("F", "word ['a', 'b'] must be a string"),
+    "E-string": ("E", "must be a list"),
+    "subgroup-string": ("action", "subgroup must be a list"),
+    "rank-true": ("action", "rank must be an integer"),
+    "action-list": ("action", "action must be an object"),
+    "subgroup-missing": ("action", "missing field 'subgroup'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORD_SCHEMA_CASES))
+def test_verify_rejects_malformed_words_and_rank(tmp_path, capsys, case):
+    data = json.loads(open(built_cert_path(tmp_path)).read())
+    WORD_SCHEMA_CASES[case](data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    field, what = WORD_SCHEMA_ERRORS[case]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [schema]: {field}: ") and what in err, err
+
+
+@pytest.mark.parametrize("case", sorted(WORD_SCHEMA_CASES))
+def test_approx_rejects_malformed_words_and_rank(tmp_path, capsys, case):
+    data = json.loads(json.dumps(COSET_JOB))
+    WORD_SCHEMA_CASES[case](data)
+    assert main(["approx", "--config", write_job(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]: ") and WORD_SCHEMA_ERRORS[case][1] in err, err
+
+
 def test_verify_epsilon_override(tmp_path, capsys):
     out = built_cert_path(tmp_path)
     capsys.readouterr()

@@ -101,3 +101,17 @@ def test_stretch_tables_refused_before_enumeration(monkeypatch, sub, E):
         image_group(table.images, table.size, 10**5)
     assert str(info.value).startswith(f"image group exceeds cap 100000 on {table.size} points")
     assert 0 < calls < 10**4
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, None])
+@given(data=st.data())
+def test_compose_is_the_generator_expression(degree, data):
+    # the gather needs its own cases at degrees 0 and 1, where itemgetter
+    # cannot be built or returns a bare item; q need not be a permutation
+    n = data.draw(st.integers(3, 60)) if degree is None else degree
+    p = data.draw(st.permutations(range(n)))
+    q = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) if n else []
+    expected = tuple(p[x] for x in q)
+    for left, right in ((tuple(p), tuple(q)), (list(p), q)):
+        got = compose(left, right)
+        assert type(got) is tuple and got == expected

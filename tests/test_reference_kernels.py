@@ -1,0 +1,351 @@
+"""The whole-array verifier clauses and schema checks against the
+per-entry loops they replaced.
+
+The previous ``check_multiplicative``, ``check_orbit_witness`` and
+``certificate_from_dict`` are kept below verbatim as references, with
+the previous ``compose``, ``hamming`` and phi evaluation they called.
+On built certificates and their mutants the two must agree field for
+field: every message and its order, ``triples_checked``, the defect,
+and the text of every ``CertificateFormatError``.
+"""
+
+import copy
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+import hypothesis.strategies as st
+from hypothesis import given
+
+from soficert.actions import (
+    BiregularAction,
+    CosetAction,
+    RestrictedAction,
+    act,
+    acting_rank,
+    action_from_json,
+    canonical_point,
+    element_invert,
+    element_multiply,
+    element_text,
+    parse_element,
+    point_rank,
+)
+from soficert.builder import (
+    Certificate,
+    CertificateFormatError,
+    OrbitWitness,
+    SoficApproximation,
+    _expect,
+    _label_from_json,
+    approximate,
+    certificate_from_dict,
+    certificate_to_dict,
+    epsilon_from_json,
+)
+from soficert.permutations import identity_perm, inverse
+from soficert.verifier import OrbitCheck, check_multiplicative, check_orbit_witness, verify_certificate
+from soficert.words import parse_word
+
+# ---------------------------------------------------------------------------
+# the references
+
+
+def _reference_compose(p, q):
+    """p after q: (p . q)[i] = p[q[i]]."""
+    return tuple(p[x] for x in q)
+
+
+def _reference_hamming(p, q):
+    """Normalized Hamming distance |{i : p(i) != q(i)}| / |A|."""
+    if len(p) != len(q):
+        raise ValueError(f"carrier size mismatch: {len(p)} vs {len(q)}")
+    return Fraction(sum(1 for a, b in zip(p, q) if a != b), len(p))
+
+
+def _reference_phi(approx, g, word_images=None):
+    """phi(g), every word composed onto a fresh identity."""
+
+    def eval_word(w, offset):
+        perm = identity_perm(approx.size)
+        for l in w.letters:
+            i = offset + abs(l) - 1
+            perm = _reference_compose(perm, approx.images[i] if l > 0 else inverse(approx.images[i]))
+        return perm
+
+    if isinstance(g, tuple):
+        if word_images:
+            raise ValueError("word image overrides are only supported for free groups")
+        return _reference_compose(eval_word(g[0], 0), eval_word(g[1], approx.rank))
+    if word_images is not None:
+        hit = word_images.get(g.text())
+        if hit is not None:
+            return tuple(hit)
+    return eval_word(g, 0)
+
+
+def _reference_check_multiplicative(approx, F, word_images=None):
+    """Max defect d(phi(gh), phi(g) . phi(h)) over (g, h) in F x F; 0 when F is empty."""
+    worst = Fraction(0)
+    images = [_reference_phi(approx, g, word_images) for g in F]
+    for g, pg in zip(F, images):
+        for h, ph in zip(F, images):
+            gh = element_multiply(g, h)
+            defect = _reference_hamming(_reference_phi(approx, gh, word_images), _reference_compose(pg, ph))
+            if defect > worst:
+                worst = defect
+    return worst
+
+
+def _reference_check_orbit_witness(action, approx, F, E, witness, epsilon, word_images=None):
+    size = approx.size
+    s_list = list(witness.s_points)
+    s_pos = {s: p for p, s in enumerate(s_list)}
+    ratio = Fraction(len(s_list), size)
+    if epsilon == 0:
+        cardinality_ok = len(s_list) == size
+    else:
+        cardinality_ok = ratio > 1 - epsilon
+
+    injectivity_failures = []
+    for p, s in enumerate(s_list):
+        row = witness.pi[p]
+        if len(set(row)) != len(row):
+            dup = next(v for v in row if row.count(v) > 1)
+            injectivity_failures.append(f"pi at s={s} repeats B index {dup}")
+
+    e_index = {x.letters: i for i, x in enumerate(E)}
+    equivariance_failures = []
+    triples = 0
+    for g in F:
+        perm = _reference_phi(approx, g, word_images)
+        g_inv = element_invert(g)
+        col_map = {}
+        for i, x in enumerate(E):
+            y = act(action, g_inv, x)
+            j = e_index.get(y.letters)
+            if j is not None:
+                col_map[i] = j
+        for s in s_list:
+            fs = perm[s]
+            fp = s_pos.get(fs)
+            if fp is None:
+                continue
+            p = s_pos[s]
+            for i, j in col_map.items():
+                triples += 1
+                if witness.pi[fp][i] != witness.pi[p][j]:
+                    equivariance_failures.append(
+                        f"pi_(phi(g)s)(x) != pi_s(g^-1.x) at s={s}, "
+                        f"g={element_text(g)!r}, x={E[i].text()!r}"
+                    )
+    return OrbitCheck(
+        ratio,
+        cardinality_ok,
+        tuple(injectivity_failures),
+        tuple(equivariance_failures),
+        triples,
+    )
+
+
+def _reference_certificate_from_dict(data):
+    _expect(isinstance(data, dict), "certificate", "top level must be an object")
+    for key in ("action", "F", "E", "epsilon", "carrier_size",
+                "generator_images", "S", "B", "pi"):
+        _expect(key in data, key, "missing field")
+    try:
+        action = action_from_json(data["action"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateFormatError(f"action: {exc}") from exc
+    try:
+        F = tuple(parse_element(action, item) for item in data["F"])
+    except (TypeError, ValueError) as exc:
+        raise CertificateFormatError(f"F: {exc}") from exc
+    try:
+        E = tuple(parse_word(t, point_rank(action)) for t in data["E"])
+    except (TypeError, ValueError) as exc:
+        raise CertificateFormatError(f"E: {exc}") from exc
+    _expect(len({w.letters for w in E}) == len(E), "E", "duplicate points")
+    for w, t in zip(E, data["E"]):
+        canon = canonical_point(action, w)
+        _expect(canon.letters == w.letters, "E",
+                f"{t!r} is not the canonical name of its point (expected {canon.text()!r})")
+    try:
+        epsilon = epsilon_from_json(data["epsilon"])
+    except ValueError as exc:
+        raise CertificateFormatError(str(exc)) from exc
+
+    size = data["carrier_size"]
+    _expect(type(size) is int and size >= 1, "carrier_size", "must be a positive integer")
+    group_kind = "product" if isinstance(action, BiregularAction) else "free"
+    rank = acting_rank(action)
+    expected_arrays = rank if group_kind == "free" else 2 * rank
+    imgs = data["generator_images"]
+    _expect(isinstance(imgs, list) and len(imgs) == expected_arrays,
+            "generator_images", f"expected {expected_arrays} arrays")
+    for i, arr in enumerate(imgs):
+        _expect(isinstance(arr, list) and len(arr) == size,
+                f"generator_images[{i}]", f"expected length {size}")
+        for x in arr:
+            _expect(type(x) is int and 0 <= x < size,
+                    f"generator_images[{i}]", f"entry {x!r} out of range")
+    s_points = data["S"]
+    _expect(isinstance(s_points, list), "S", "must be a list")
+    _expect(all(type(s) is int and 0 <= s < size for s in s_points),
+            "S", "entries must be carrier indices")
+    _expect(sorted(set(s_points)) == s_points, "S", "must be strictly increasing")
+    b_labels = data["B"]
+    _expect(isinstance(b_labels, list), "B", "must be a list")
+    canon_labels = [_label_from_json(l, "B") for l in b_labels]
+    _expect(len(set(canon_labels)) == len(canon_labels), "B", "labels must be distinct")
+    pi = data["pi"]
+    _expect(isinstance(pi, list) and len(pi) == len(s_points),
+            "pi", f"expected {len(s_points)} rows")
+    for i, row in enumerate(pi):
+        _expect(isinstance(row, list) and len(row) == len(E),
+                f"pi[{i}]", f"expected {len(E)} entries")
+        for v in row:
+            _expect(type(v) is int and 0 <= v < len(b_labels),
+                    f"pi[{i}]", f"entry {v!r} is not a B index")
+    approx = SoficApproximation(group_kind, rank, size, tuple(tuple(a) for a in imgs))
+    witness = OrbitWitness(tuple(s_points), tuple(canon_labels), tuple(tuple(r) for r in pi))
+    provenance = data.get("provenance", {})
+    _expect(isinstance(provenance, dict), "provenance", "must be an object")
+    return Certificate(action, F, E, epsilon, approx, witness, provenance)
+
+
+# ---------------------------------------------------------------------------
+# certificates and mutants
+
+
+def w2(t):
+    return parse_word(t, 2)
+
+
+BASES = ["coset-a", "coset-aa-b", "coset-aba", "biregular", "conjugation"]
+
+
+@lru_cache(maxsize=None)
+def base_dict(name):
+    a, b = w2("a"), w2("b")
+    one = w2("")
+    if name == "coset-a":
+        cert = approximate(CosetAction(2, (a,)), [a, b], [one, b])
+    elif name == "coset-aa-b":
+        F = [w2(t) for t in ("a", "b", "ab", "aB")]
+        cert = approximate(CosetAction(2, (w2("aa"), b)), F, [one, a])
+    elif name == "coset-aba":
+        cert = approximate(CosetAction(2, (w2("aba"),)), [a, b, w2("Ab")], [one, a, w2("ab")])
+    elif name == "biregular":
+        F = [(a, one), (one, b), (w2("ab"), w2("B"))]
+        cert = approximate(BiregularAction(2), F, [one, a, b])
+    else:
+        spec = RestrictedAction(BiregularAction(2), ((a, a), (b, b)))
+        cert = approximate(spec, [a, b, w2("ab")], [one, a, b, w2("baB")])
+    return certificate_to_dict(cert)
+
+
+def clause_mutant(data, rng):
+    """A schema-valid copy: S shrunk at a positive epsilon, generator
+    images that are no longer permutations, and pi entries rewritten,
+    each with probability 1/2."""
+    d = copy.deepcopy(data)
+    size, labels = d["carrier_size"], len(d["B"])
+    if rng.random() < 0.5:
+        d["epsilon"] = rng.choice(["1/2", "1/3", "2/3", "1/100", "1"])
+        keep = sorted(rng.sample(range(len(d["S"])), rng.randint(0, len(d["S"]))))
+        d["S"] = [d["S"][p] for p in keep]
+        d["pi"] = [d["pi"][p] for p in keep]
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            rng.choice(d["generator_images"])[rng.randrange(size)] = rng.randrange(size)
+    if rng.random() < 0.5 and d["pi"]:
+        for _ in range(rng.randint(1, 4)):
+            row = rng.choice(d["pi"])
+            row[rng.randrange(len(row))] = rng.randrange(labels)
+    return d
+
+
+def schema_mutant(data, rng):
+    """A copy with one to three entries, rows or fields of the wrong type,
+    shape or range (or, now and then, a valid value)."""
+    d = copy.deepcopy(data)
+    size, labels = d["carrier_size"], len(d["B"])
+    bad = [True, False, "0", "1", -1, 1.0, 0.5, None, [0], 10**6]
+    for _ in range(rng.randint(1, 3)):
+        where = rng.randrange(7)
+        arrays = [a for a in d["generator_images"] if isinstance(a, list) and a]
+        rows = [r for r in d["pi"] if isinstance(r, list) and r]
+        if where == 0 and arrays:
+            rng.choice(arrays)[rng.randrange(size)] = rng.choice(bad + [size, 0])
+        elif where == 1:
+            k = rng.randrange(len(d["generator_images"]))
+            d["generator_images"][k] = rng.choice([[0] * (size - 1), "x", [0] * (size + 1)])
+        elif where == 2 and d["S"]:
+            d["S"][rng.randrange(len(d["S"]))] = rng.choice(bad + [size])
+        elif where == 3 and rows:
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))] = rng.choice(bad + [labels, labels - 1])
+        elif where == 4 and d["pi"]:
+            p = rng.randrange(len(d["pi"]))
+            d["pi"][p] = rng.choice([[0] * (len(d["E"]) - 1), [0] * (len(d["E"]) + 1), "x", {}, 3])
+        elif where == 5:
+            d["epsilon"] = rng.choice([0.0, 0.5, "1e-1", True, "1/0", "-1", "1/2", 0])
+        elif where == 6:
+            d["B"][rng.randrange(labels)] = rng.choice([True, "x", 0, [1, 2, 3]])
+    return d
+
+
+def outcome(parse, data):
+    try:
+        return "ok", parse(data)
+    except CertificateFormatError as exc:
+        return "error", str(exc)
+
+
+# ---------------------------------------------------------------------------
+# equivalence
+
+
+@pytest.mark.parametrize("name", BASES)
+@given(rng=st.randoms(use_true_random=False))
+def test_clauses_match_reference_on_mutants(name, rng):
+    data = clause_mutant(base_dict(name), rng)
+    cert = certificate_from_dict(data)
+    args = (cert.action, cert.approx, cert.F, cert.E, cert.witness, cert.epsilon)
+    defect = _reference_check_multiplicative(cert.approx, cert.F)
+    orbit = _reference_check_orbit_witness(*args)
+    assert check_multiplicative(cert.approx, cert.F) == defect
+    assert check_orbit_witness(*args) == orbit
+    report = verify_certificate(data)
+    assert report.max_defect == defect
+    assert report.orbit == orbit
+
+
+def test_clause_mutants_reach_every_branch():
+    # the built certificate itself, positive epsilon with S != A,
+    # non-permutation images and broken equivariance, on each base,
+    # within the first few seeds
+    for name in BASES:
+        seen = set()
+        for seed in range(40):
+            data = clause_mutant(base_dict(name), random.Random(seed))
+            if data == base_dict(name):
+                seen.add("built")
+            cert = certificate_from_dict(data)
+            if cert.epsilon > 0 and len(cert.witness.s_points) < cert.approx.size:
+                seen.add("epsilon")
+            if any(sorted(img) != list(range(cert.approx.size)) for img in cert.approx.images):
+                seen.add("non-permutation")
+            if _reference_check_orbit_witness(cert.action, cert.approx, cert.F, cert.E,
+                                              cert.witness, cert.epsilon).equivariance_failures:
+                seen.add("equivariance")
+        assert seen == {"built", "epsilon", "non-permutation", "equivariance"}, name
+
+
+@pytest.mark.parametrize("name", BASES)
+@given(rng=st.randoms(use_true_random=False))
+def test_schema_matches_reference_on_mutants(name, rng):
+    data = schema_mutant(base_dict(name), rng)
+    assert outcome(certificate_from_dict, data) == outcome(_reference_certificate_from_dict, data)

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from soficert.actions import BiregularAction, CosetAction, RestrictedAction
 from soficert.builder import (
+    CertificateFormatError,
     SoficApproximation,
     approximate,
     certificate_from_dict,
@@ -261,6 +262,9 @@ def test_each_mutation_kind_kills_with_expected_clause():
         "pi-duplicate": "injectivity",
         "s-shrink": "cardinality",
         "pi-swap": "equivariance",
+        "bool-for-int": "schema",
+        "wrong-type": "schema",
+        "float-epsilon": "schema",
     }
     data = certificate_to_dict(base_cert())
     rng = random.Random(3)
@@ -273,11 +277,26 @@ def test_each_mutation_kind_kills_with_expected_clause():
         if result is None:
             continue
         mutated, got_kind, _ = result
+        if expected[got_kind] == "schema":
+            with pytest.raises(CertificateFormatError):
+                verify_certificate(mutated)
+            seen.add(got_kind)
+            continue
         report = verify_certificate(mutated)
         assert not report.accepted
         assert report.first_failure == expected[got_kind]
         seen.add(got_kind)
     assert seen == set(MUTATION_KINDS)
+
+
+def test_battery_counts_schema_mutants_as_killed():
+    from soficert.cli import mutation_battery
+
+    battery = mutation_battery([base_cert()], 60, seed=1)
+    assert all(r["killed"] for r in battery)
+    schema = {r["kind"] for r in battery if r["clause"] == "schema"}
+    assert schema == {"bool-for-int", "wrong-type", "float-epsilon"}
+    assert all(r["clause"] == "schema" for r in battery if r["kind"] in schema)
 
 
 def test_mutations_never_alter_the_original():
