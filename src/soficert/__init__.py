@@ -10,8 +10,6 @@ from .stallings import (
     coset_of,
     hall_completion,
     left_coset_of,
-    normal_core,
-    schreier_representative,
 )
 from .actions import (
     BiregularAction,
@@ -19,7 +17,6 @@ from .actions import (
     RestrictedAction,
     act,
     canonical_point,
-    orbit_partition,
     separation_targets,
 )
 from .builder import (

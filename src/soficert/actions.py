@@ -16,14 +16,13 @@ Three action kinds are supported:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
 from . import stallings
-from .stallings import StallingsGraph, core_graph, signed_letters
-from .words import Word, identity, invert, multiply, parse_word, product
+from .stallings import StallingsGraph, core_graph, coset_canonical_word
+from .words import MAX_RANK, Word, identity, invert, multiply, parse_word, product
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,10 @@ class RestrictedAction:
     images: tuple[GroupElement, ...]
 
     def __post_init__(self) -> None:
+        if not 1 <= len(self.images) <= MAX_RANK:
+            raise ValueError(
+                f"a restricted action needs 1 to {MAX_RANK} images, got {len(self.images)}"
+            )
         for g in self.images:
             check_element(self.inner, g)
 
@@ -67,10 +70,6 @@ def _coset_graph(rank: int, subgroup: tuple[Word, ...]) -> StallingsGraph:
     return core_graph(list(subgroup), rank)
 
 
-class OrbitUndecidableError(RuntimeError):
-    """Bounded search could not certify the orbit partition."""
-
-
 # ---------------------------------------------------------------------------
 # the acting group's element algebra
 
@@ -80,11 +79,6 @@ def acting_rank(spec: ActionSpec) -> int:
     if isinstance(spec, RestrictedAction):
         return len(spec.images)
     return spec.rank
-
-
-def is_pair_group(spec: ActionSpec) -> bool:
-    """Whether the acting group is a product G x G (biregular) or a single free group."""
-    return isinstance(spec, BiregularAction)
 
 
 def point_rank(spec: ActionSpec) -> int:
@@ -106,12 +100,6 @@ def check_element(spec: ActionSpec, g: GroupElement) -> None:
     else:
         if not isinstance(g, Word) or g.rank != spec.rank:
             raise ValueError(f"expected a rank-{spec.rank} word, got {g!r}")
-
-
-def element_identity(spec: ActionSpec) -> GroupElement:
-    if isinstance(spec, BiregularAction):
-        return (identity(spec.rank), identity(spec.rank))
-    return identity(acting_rank(spec))
 
 
 def element_multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -141,60 +129,15 @@ def apply_images(images: Sequence[GroupElement], g: Word) -> GroupElement:
             target = element_invert(target)
         out = target if out is None else element_multiply(out, target)
     if out is None:
-        if images and isinstance(images[0], tuple):
+        if isinstance(images[0], tuple):
             rank = images[0][0].rank
             return (identity(rank), identity(rank))
-        rank = images[0].rank if images else 1
-        return identity(rank)
+        return identity(images[0].rank)
     return out
 
 
 # ---------------------------------------------------------------------------
 # points
-
-
-def coset_canonical_word(graph: StallingsGraph, w: Word) -> Word:
-    """Shortlex-minimal representative of the left coset wH.
-
-    Extends the subgroup graph with a path spelling w^-1 from the
-    basepoint, then searches breadth-first (letters in canonical order)
-    from the path's endpoint back to the basepoint; the first word found
-    is the shortlex-minimal element of wH.
-    """
-    steps: dict[tuple[int, int], int] = {}
-    for u, l, v in graph.edges:
-        steps[(u, l)] = v
-        steps[(v, -l)] = u
-    state = 0
-    fresh = graph.vertex_count
-    for l in invert(w).letters:
-        nxt = steps.get((state, l))
-        if nxt is None:
-            nxt = fresh
-            fresh += 1
-            steps[(state, l)] = nxt
-            steps[(nxt, -l)] = state
-        state = nxt
-    if state == 0:
-        return identity(w.rank)
-    parent: dict[int, tuple[int, int]] = {state: (-1, 0)}
-    queue = deque([state])
-    while queue:
-        v = queue.popleft()
-        if v == 0:
-            break
-        for l in signed_letters(graph.rank):
-            nxt = steps.get((v, l))
-            if nxt is not None and nxt not in parent:
-                parent[nxt] = (v, l)
-                queue.append(nxt)
-    letters: list[int] = []
-    v = 0
-    while v != state:
-        v, l = parent[v]
-        letters.append(l)
-    letters.reverse()
-    return Word(tuple(letters), w.rank)
 
 
 def canonical_point(spec: ActionSpec, raw: Word) -> Word:
@@ -266,142 +209,6 @@ def separation_targets(
             if all(w.letters != u.letters for u in t_contain):
                 t_contain.append(w)
     return t_avoid, t_contain
-
-
-# ---------------------------------------------------------------------------
-# orbit structure
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """One piece of E under the orbit equivalence, tagged with a transitive
-    sub-action when one can be certified."""
-
-    action: ActionSpec | None
-    points: tuple[Word, ...]
-    certified: bool
-    stabilizer_note: str = ""
-
-
-def cyclic_reduction(w: Word) -> tuple[Word, Word]:
-    """Split w = u c u^-1 with c cyclically reduced; returns (u, c)."""
-    letters = list(w.letters)
-    i = 0
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-        i += 1
-    u = Word(w.letters[:i], w.rank)
-    return u, Word(tuple(letters), w.rank)
-
-
-def primitive_root(w: Word) -> Word:
-    """The primitive r with w = r^m (m maximal); centralizer of w is <r>."""
-    if w.is_identity:
-        raise ValueError("identity has no primitive root")
-    u, c = cyclic_reduction(w)
-    n = len(c.letters)
-    for period in range(1, n + 1):
-        if n % period:
-            continue
-        if c.letters == c.letters[:period] * (n // period):
-            root = Word(c.letters[:period], w.rank)
-            return product([u, root, invert(u)], w.rank)
-    raise AssertionError("unreachable: full length is always a period")
-
-
-def orbit_partition(
-    spec: ActionSpec,
-    E: Sequence[Word],
-    F: Sequence[GroupElement],
-    bound: int = 6,
-    strict: bool = False,
-) -> list[OrbitClass]:
-    """Partition E into orbit classes.
-
-    Coset and biregular actions are transitive, so they yield a single
-    certified class.  Restricted actions are partitioned by bounded
-    reachability: x ~ y when some product of at most ``bound`` factors
-    from F and its inverses carries x to y.  Such a partition cannot
-    certify that distinct classes really are distinct orbits; ``strict``
-    turns that uncertainty into an error.
-    """
-    points = [canonical_point(spec, x) for x in E]
-    if len({p.letters for p in points}) != len(points):
-        raise ValueError("duplicate points in E")
-    if isinstance(spec, CosetAction):
-        return [OrbitClass(spec, tuple(points), True, "subgroup itself (transitive)")]
-    if isinstance(spec, BiregularAction):
-        note = "pairs (h, k) with h x k^-1 = x; for x = 1 the diagonal {(h, h)}"
-        return [OrbitClass(spec, tuple(points), True, note)]
-
-    generators: list[GroupElement] = []
-    for g in F:
-        generators.append(g)
-        generators.append(element_invert(g))
-    classes: list[list[Word]] = []
-    reach_cache: dict[tuple, set[tuple]] = {}
-
-    def reachable(x: Word) -> set[tuple]:
-        if x.letters in reach_cache:
-            return reach_cache[x.letters]
-        seen = {x.letters}
-        frontier = [x]
-        for _ in range(bound):
-            nxt = []
-            for p in frontier:
-                for g in generators:
-                    q = act(spec, g, p)
-                    if q.letters not in seen:
-                        seen.add(q.letters)
-                        nxt.append(q)
-            frontier = nxt
-        reach_cache[x.letters] = seen
-        return seen
-
-    assignments: list[int] = []
-    for p in points:
-        placed = None
-        for ci, members in enumerate(classes):
-            rep = members[0]
-            if p.letters in reachable(rep) or rep.letters in reachable(p):
-                placed = ci
-                break
-        if placed is None:
-            classes.append([p])
-        else:
-            classes[placed].append(p)
-    if strict and len(classes) > 1:
-        raise OrbitUndecidableError(
-            "bounded search cannot certify distinct orbits; "
-            "specify the orbit decomposition manually (one class per build)"
-        )
-    out = []
-    for members in classes:
-        sub, note = _class_spec(spec, members[0])
-        out.append(OrbitClass(sub, tuple(members), len(classes) == 1, note))
-    return out
-
-
-def _is_diagonal_conjugation(spec: RestrictedAction) -> bool:
-    if not isinstance(spec.inner, BiregularAction):
-        return False
-    return all(
-        isinstance(g, tuple) and g[0].letters == g[1].letters for g in spec.images
-    )
-
-
-def _class_spec(spec: RestrictedAction, rep: Word) -> tuple[ActionSpec | None, str]:
-    if _is_diagonal_conjugation(spec):
-        rank = spec.inner.rank
-        if rep.is_identity:
-            full = tuple(Word((i,), rank) for i in range(1, rank + 1))
-            return CosetAction(rank, full), "stabilizer of 1 is the whole group"
-        root = primitive_root(rep)
-        return (
-            CosetAction(rank, (root,)),
-            f"centralizer of {rep.text()} is <{root.text()}>",
-        )
-    return None, "stabilizer not computed for this restriction"
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,6 @@ class Caps:
     bireg_carrier_cap: int = 100_000
     quotient_degree_max: int = 5
     quotient_samples: int = 2000
-    orbit_bound: int = 6
 
 
 @dataclass(frozen=True)
@@ -121,23 +120,10 @@ class SoficApproximation:
             perm = tuple(image) if perm is None else compose(perm, image)
         return identity_perm(self.size) if perm is None else perm
 
-    def permutation_of(
-        self, g: GroupElement, word_images: Mapping[str, tuple[int, ...]] | None = None
-    ) -> tuple[int, ...]:
-        """phi(g), composing generator images (left factor then right for pairs).
-
-        ``word_images`` optionally overrides whole words by text, which is
-        how an externally tabulated, not-necessarily-homomorphic phi is
-        verified; entries absent from the table fall back to composition.
-        """
+    def permutation_of(self, g: GroupElement) -> tuple[int, ...]:
+        """phi(g), composing generator images (left factor then right for pairs)."""
         if isinstance(g, tuple):
-            if word_images:
-                raise ValueError("word image overrides are only supported for free groups")
             return compose(self._eval_word(g[0], 0), self._eval_word(g[1], self.rank))
-        if word_images is not None:
-            hit = word_images.get(g.text())
-            if hit is not None:
-                return tuple(hit)
         return self._eval_word(g, 0)
 
 
@@ -234,30 +220,20 @@ def lift_witness(
 class _FiniteQuotient:
     """A finite quotient of F_rank in which a required word set survives.
 
-    ``gen_walks[i]`` is the walk permutation of generator i+1 on the
-    defining points; ``elements`` lists the generated group, and the
-    quotient map sends w to the permutation by which w left-multiplies."""
+    The quotient map sends w to ``action_permutation(table, w)``, the
+    permutation by which w left-multiplies the table's points;
+    ``elements`` lists the group those permutations generate."""
 
-    rank: int
-    degree: int
-    gen_walks: tuple[tuple[int, ...], ...]
+    table: CosetTable
     elements: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def map_word(self, w: Word) -> tuple[int, ...]:
-        perm = identity_perm(self.degree)
-        for l in invert(w).letters:
-            step = self.gen_walks[l - 1] if l > 0 else inverse(self.gen_walks[-l - 1])
-            perm = compose(step, perm)
-        return perm
 
-
-def _quotient_from_walks(rank: int, degree: int, walks: Sequence[tuple[int, ...]], cap: int) -> _FiniteQuotient:
-    elements = tuple(image_group(walks, degree, cap))
-    return _FiniteQuotient(rank, degree, tuple(walks), elements)
+def _quotient(table: CosetTable, cap: int) -> _FiniteQuotient:
+    return _FiniteQuotient(table, tuple(image_group(table.images, table.size, cap)))
 
 
 def _separating_quotient(rank: int, targets: Sequence[Word], caps: Caps) -> tuple[_FiniteQuotient, str]:
@@ -270,32 +246,31 @@ def _separating_quotient(rank: int, targets: Sequence[Word], caps: Caps) -> tupl
     """
     order_cap = max(2, int(caps.bireg_carrier_cap**0.5))
     if not targets:
-        walks = tuple(identity_perm(1) for _ in range(rank))
-        return _quotient_from_walks(rank, 1, walks, 2), "hall-core"
+        return _quotient(CosetTable(rank, 1, ((0,),) * rank), 2), "hall-core"
     try:
         table = hall_completion(core_graph([], rank), list(targets))
-        q = _quotient_from_walks(rank, table.size, table.images, order_cap)
-        return q, "hall-core"
+        return _quotient(table, order_cap), "hall-core"
     except CoreTooLargeError:
         pass
 
-    def separates(walks: list[tuple[int, ...]]) -> bool:
-        quick = _FiniteQuotient(rank, len(walks[0]), tuple(walks), ())
-        return all(quick.map_word(w) != identity_perm(len(walks[0])) for w in targets)
+    def separates(table: CosetTable) -> bool:
+        unmoved = identity_perm(table.size)
+        return all(action_permutation(table, w) != unmoved for w in targets)
 
     for degree in range(2, 4):
         perms = sorted(itertools.permutations(range(degree)))
         for combo in itertools.product(perms, repeat=rank):
-            if separates(list(combo)):
-                return _quotient_from_walks(rank, degree, combo, order_cap), "quotient-search"
+            table = CosetTable(rank, degree, combo)
+            if separates(table):
+                return _quotient(table, order_cap), "quotient-search"
     rng = random.Random(0)
     for degree in range(4, caps.quotient_degree_max + 1):
         perms = sorted(itertools.permutations(range(degree)))
         for _ in range(caps.quotient_samples):
-            combo = tuple(rng.choice(perms) for _ in range(rank))
-            if separates(list(combo)):
+            table = CosetTable(rank, degree, tuple(rng.choice(perms) for _ in range(rank)))
+            if separates(table):
                 try:
-                    return _quotient_from_walks(rank, degree, combo, order_cap), "quotient-search"
+                    return _quotient(table, order_cap), "quotient-search"
                 except CoreTooLargeError:
                     continue
     raise CoreTooLargeError(
@@ -335,13 +310,13 @@ def biregular_approximation(
     if m * m > caps.bireg_carrier_cap:
         raise CoreTooLargeError(f"carrier {m}x{m} exceeds cap {caps.bireg_carrier_cap}")
     index = {p: i for i, p in enumerate(quotient.elements)}
-    e_labels = [index[quotient.map_word(x)] for x in E]
+    e_labels = [index[action_permutation(quotient.table, x)] for x in E]
     if len(set(e_labels)) != len(e_labels):
         raise AssertionError("separating quotient produced a label collision")
 
     translations = []
     for i in range(1, rank + 1):
-        g = quotient.map_word(Word((i,), rank))
+        g = action_permutation(quotient.table, Word((i,), rank))
         translations.append(tuple(index[compose(g, p)] for p in quotient.elements))
     images = []
     for side in range(2):
@@ -372,8 +347,8 @@ def biregular_approximation(
         "builder": "exact-homomorphism",
         "strategy": strategy,
         "requested_epsilon": str(epsilon),
-        "quotient": {"degree": quotient.degree, "order": m,
-                     "walks": [list(p) for p in quotient.gen_walks]},
+        "quotient": {"degree": quotient.table.size, "order": m,
+                     "walks": [list(p) for p in quotient.table.images]},
         "point_labels": e_labels,
     }
     return Certificate(spec, tuple(F), tuple(E), Fraction(0), approx, witness, provenance)
@@ -733,6 +708,6 @@ def load_certificate(path: str) -> Certificate:
             data = json.load(fh)
     except OSError as exc:
         raise CertificateFormatError(f"file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CertificateFormatError(f"json: {exc}") from exc
     return certificate_from_dict(data)

@@ -89,6 +89,8 @@ def job_from_dict(data: dict) -> JobConfig:
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
             raise ValueError(f"cap {cap.name} must be a positive integer")
     out = data.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"out must be a path string, not {out!r}")
     seed = data.get("seed", 0)
     if type(seed) is not int:
         raise ValueError("seed must be an integer")
@@ -125,7 +127,7 @@ def cmd_approx(args) -> int:
         with open(args.config) as fh:
             data = json.load(fh)
         job = job_from_dict(data)
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
     strategy = args.strategy or job.strategy

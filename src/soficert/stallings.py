@@ -18,7 +18,7 @@ Conventions fixed once and shared by every module:
   then permutes labels by the walk of ``g^-1``, which is a genuine
   homomorphism into Sym(n).
 * Canonical vertex numbering is breadth-first from the basepoint with
-  generator edges before inverse edges, labels ascending; Schreier
+  generator edges before inverse edges, labels ascending; coset
   representatives are shortlex-minimal in the same letter order.
 """
 
@@ -61,11 +61,7 @@ class StallingsGraph:
 
     @cached_property
     def _steps(self) -> dict[tuple[int, int], int]:
-        table: dict[tuple[int, int], int] = {}
-        for u, l, v in self.edges:
-            table[(u, l)] = v
-            table[(v, -l)] = u
-        return table
+        return _steps_table(self.edges)
 
     def step(self, vertex: int, letter: int) -> int | None:
         return self._steps.get((vertex, letter))
@@ -133,21 +129,39 @@ def _fold(edges: set[tuple[int, int, int]], n: int) -> set[tuple[int, int, int]]
     return {(u, l, find(v)) for u in range(n) if parent[u] == u for l, v in out[u].items() if l > 0}
 
 
-def _canonical(rank: int, edges: set[tuple[int, int, int]], base: int) -> StallingsGraph:
-    """Renumber vertices by BFS from the basepoint, letters in canonical order."""
-    steps: dict[tuple[int, int], int] = {}
+def _steps_table(edges) -> dict[tuple[int, int], int]:
+    """(vertex, signed letter) -> neighbour, both directions of every edge."""
+    table: dict[tuple[int, int], int] = {}
     for u, l, v in edges:
-        steps[(u, l)] = v
-        steps[(v, -l)] = u
-    order = {base: 0}
-    queue = deque([base])
+        table[(u, l)] = v
+        table[(v, -l)] = u
+    return table
+
+
+def _bfs(
+    steps: dict[tuple[int, int], int], rank: int, start: int, stop: int | None = None
+) -> dict[int, tuple[int, int]]:
+    """Breadth-first search along ``steps`` from ``start``, signed letters
+    in canonical order.  Returns the parent map ``vertex -> (parent,
+    letter)`` in discovery order, ``start`` mapping to ``(-1, 0)``; the
+    search ends once ``stop`` is dequeued."""
+    parent = {start: (-1, 0)}
+    queue = deque([start])
     while queue:
         v = queue.popleft()
+        if v == stop:
+            break
         for l in signed_letters(rank):
             w = steps.get((v, l))
-            if w is not None and w not in order:
-                order[w] = len(order)
+            if w is not None and w not in parent:
+                parent[w] = (v, l)
                 queue.append(w)
+    return parent
+
+
+def _canonical(rank: int, edges: set[tuple[int, int, int]], base: int) -> StallingsGraph:
+    """Renumber vertices by BFS from the basepoint, letters in canonical order."""
+    order = {v: i for i, v in enumerate(_bfs(_steps_table(edges), rank, base))}
     renamed = sorted((order[u], l, order[v]) for u, l, v in edges)
     return StallingsGraph(rank, len(order), tuple(renamed))
 
@@ -181,13 +195,42 @@ def contains(graph: StallingsGraph, w: Word) -> bool:
     return graph.trace(w) == 0
 
 
+def coset_canonical_word(graph: StallingsGraph, w: Word) -> Word:
+    """Shortlex-minimal representative of the left coset wH.
+
+    Extends the subgroup graph with a path spelling w^-1 from the
+    basepoint, then searches breadth-first (letters in canonical order)
+    from the path's endpoint back to the basepoint; the first word found
+    is the shortlex-minimal element of wH.
+    """
+    steps = dict(graph._steps)
+    state = 0
+    fresh = graph.vertex_count
+    for l in invert(w).letters:
+        nxt = steps.get((state, l))
+        if nxt is None:
+            nxt = fresh
+            fresh += 1
+            steps[(state, l)] = nxt
+            steps[(nxt, -l)] = state
+        state = nxt
+    parent = _bfs(steps, graph.rank, state, stop=0)
+    letters: list[int] = []
+    v = 0
+    while v != state:
+        v, l = parent[v]
+        letters.append(l)
+    letters.reverse()
+    return Word(tuple(letters), w.rank)
+
+
 # ---------------------------------------------------------------------------
 # coset tables
 
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Complete transitive permutation table: one permutation per generator."""
+    """Complete permutation table: one permutation per generator."""
 
     rank: int
     size: int
@@ -288,30 +331,6 @@ def hall_completion(graph: StallingsGraph, avoid: Sequence[Word]) -> CosetTable:
     return CosetTable(graph.rank, merged.vertex_count, tuple(images))
 
 
-def schreier_representative(table: CosetTable, coset: int) -> Word:
-    """Shortlex-minimal word walking coset 0 to ``coset``."""
-    if not 0 <= coset < table.size:
-        raise ValueError(f"coset {coset} out of range for table of size {table.size}")
-    parent: dict[int, tuple[int, int]] = {0: (-1, 0)}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        if v == coset:
-            break
-        for l in signed_letters(table.rank):
-            w = table.step(v, l)
-            if w not in parent:
-                parent[w] = (v, l)
-                queue.append(w)
-    letters: list[int] = []
-    v = coset
-    while v != 0:
-        v, l = parent[v]
-        letters.append(l)
-    letters.reverse()
-    return Word(tuple(letters), table.rank)
-
-
 def image_group(
     generators: Sequence[Sequence[int]], degree: int, cap: int = DEFAULT_CORE_CAP
 ) -> list[tuple[int, ...]]:
@@ -344,18 +363,3 @@ def image_group(
         raise AssertionError(f"closure has {len(elements)} elements, stabilizer chain {order}")
     return elements
 
-
-def normal_core(table: CosetTable, cap: int = DEFAULT_CORE_CAP) -> CosetTable:
-    """Table of the kernel of the walk map F_k -> Sym(size).
-
-    The kernel's cosets are the elements of the image permutation group,
-    walked by left composition, so the result has size equal to the
-    image group's order.
-    """
-    elements = image_group(table.images, table.size, cap)
-    index = {p: i for i, p in enumerate(elements)}
-    images = []
-    for i in range(table.rank):
-        gen = table.images[i]
-        images.append(tuple(index[compose(gen, p)] for p in elements))
-    return CosetTable(table.rank, len(elements), tuple(images))

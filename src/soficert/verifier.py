@@ -27,7 +27,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .actions import ActionSpec, act, element_invert, element_multiply, element_text
 from .builder import (
@@ -40,8 +40,6 @@ from .builder import (
 from .permutations import compose, identity_perm, is_permutation
 from .words import Word
 
-WordImages = Mapping[str, Sequence[int]]
-
 
 def hamming(p: Sequence[int], q: Sequence[int]) -> Fraction:
     """Normalized Hamming distance |{i : p(i) != q(i)}| / |A|."""
@@ -50,33 +48,26 @@ def hamming(p: Sequence[int], q: Sequence[int]) -> Fraction:
     return Fraction(sum(map(operator.ne, p, q)), len(p))
 
 
-def check_unital(approx: SoficApproximation, word_images: WordImages | None = None) -> bool:
+def check_unital(approx: SoficApproximation) -> bool:
     """phi of the empty word must be the identity permutation.
 
-    For composed phi this is the empty composition; it can only fail for
-    an externally tabulated phi that plants a different image of "1"."""
-    if approx.group_kind == "product":
-        idw = Word((), approx.rank)
-        image = approx.permutation_of((idw, idw))
-    else:
-        image = approx.permutation_of(Word((), approx.rank), word_images)
+    phi is composed from the generator images, so phi(1) is the empty
+    composition; the clause is evaluated and reported all the same."""
+    idw = Word((), approx.rank)
+    image = approx.permutation_of((idw, idw) if approx.group_kind == "product" else idw)
     return image == identity_perm(approx.size)
 
 
-def check_multiplicative(
-    approx: SoficApproximation,
-    F: Sequence,
-    word_images: WordImages | None = None,
-) -> Fraction:
+def check_multiplicative(approx: SoficApproximation, F: Sequence) -> Fraction:
     """Max defect d(phi(gh), phi(g) . phi(h)) over (g, h) in F x F; 0 when F is empty.
 
     phi(gh) is evaluated from the generator images for every pair; the
     distance is counted only where the two arrays differ."""
     worst = Fraction(0)
-    images = [approx.permutation_of(g, word_images) for g in F]
+    images = [approx.permutation_of(g) for g in F]
     for g, pg in zip(F, images):
         for h, ph in zip(F, images):
-            direct = approx.permutation_of(element_multiply(g, h), word_images)
+            direct = approx.permutation_of(element_multiply(g, h))
             product = compose(pg, ph)
             if direct != product:
                 worst = max(worst, hamming(direct, product))
@@ -99,7 +90,6 @@ def check_orbit_witness(
     E: Sequence[Word],
     witness: OrbitWitness,
     epsilon: Fraction,
-    word_images: WordImages | None = None,
 ) -> OrbitCheck:
     """Cardinality, injectivity and equivariance clauses of the witness.
 
@@ -131,7 +121,7 @@ def check_orbit_witness(
     equivariance_failures = []
     triples = 0
     for g in F:
-        perm = approx.permutation_of(g, word_images)
+        perm = approx.permutation_of(g)
         g_inv = element_invert(g)
         col_map = {}
         for i, x in enumerate(E):
@@ -253,18 +243,11 @@ class VerificationReport:
         }
 
 
-def verify_certificate(
-    source,
-    epsilon: Fraction | None = None,
-    word_images: WordImages | None = None,
-) -> VerificationReport:
+def verify_certificate(source, epsilon: Fraction | None = None) -> VerificationReport:
     """Check every clause of the certificate; ``source`` may be a path,
     a parsed JSON dict, or a Certificate.
 
-    ``epsilon`` overrides the certificate's claimed tolerance;
-    ``word_images`` substitutes tabulated images for whole words (by
-    text) when evaluating phi, which is how non-homomorphic external
-    tables are checked.
+    ``epsilon`` overrides the certificate's claimed tolerance.
     """
     if isinstance(source, Certificate):
         cert = source
@@ -280,11 +263,9 @@ def verify_certificate(
     for i, arr in enumerate(cert.approx.images):
         if not is_permutation(arr, cert.approx.size):
             permutation_failures.append(f"generator image {i} is not a permutation")
-    unital = check_unital(cert.approx, word_images)
-    defect = check_multiplicative(cert.approx, cert.F, word_images)
-    orbit = check_orbit_witness(
-        cert.action, cert.approx, cert.F, cert.E, cert.witness, eps, word_images
-    )
+    unital = check_unital(cert.approx)
+    defect = check_multiplicative(cert.approx, cert.F)
+    orbit = check_orbit_witness(cert.action, cert.approx, cert.F, cert.E, cert.witness, eps)
     return VerificationReport(
         eps, cert.approx.size, tuple(permutation_failures), unital, defect, orbit
     )

@@ -5,17 +5,13 @@ from hypothesis import given
 from soficert.actions import (
     BiregularAction,
     CosetAction,
-    OrbitUndecidableError,
     RestrictedAction,
     act,
     action_from_json,
     action_to_json,
     canonical_point,
-    cyclic_reduction,
     element_invert,
     element_multiply,
-    orbit_partition,
-    primitive_root,
     separation_targets,
 )
 from soficert.stallings import contains, core_graph
@@ -149,46 +145,6 @@ def test_separation_targets_postconditions(f_words, e_words):
         assert not contains(graph, word)
     for word in contain:
         assert contains(graph, word)
-
-
-# ---------------------------------------------------------------------------
-# orbit bookkeeping for restricted actions
-
-
-def test_primitive_root_frozen():
-    assert primitive_root(w2("abab")).text() == "ab"
-    assert primitive_root(w2("aaa")).text() == "a"
-    assert primitive_root(w2("abbA")).text() == "abA"
-    assert primitive_root(w2("ab")).text() == "ab"
-
-
-@given(words())
-def test_cyclic_reduction_conjugates_back(u):
-    conj, core = cyclic_reduction(u)
-    assert multiply(conj, multiply(core, invert(conj))) == u
-    if core.letters:
-        assert core.letters[0] != -core.letters[-1]
-
-
-def test_orbit_partition_conjugation():
-    classes = orbit_partition(CONJ, [w2("a"), w2("b")], [w2("a"), w2("b")], bound=6)
-    assert len(classes) == 2
-    assert all(not c.certified for c in classes)
-    with pytest.raises(OrbitUndecidableError):
-        orbit_partition(CONJ, [w2("a"), w2("b")], [w2("a"), w2("b")], bound=6, strict=True)
-
-
-def test_orbit_partition_transitive_kinds():
-    classes = orbit_partition(COSET, [w2(""), w2("b")], [w2("a")], bound=4)
-    assert len(classes) == 1 and classes[0].certified
-    classes = orbit_partition(BIREG, [w2(""), w2("ab")], [(w2("a"), w2("a"))], bound=4)
-    assert len(classes) == 1 and classes[0].certified
-
-
-def test_orbit_partition_merges_conjugates():
-    # baB = (b)a(b^-1) is visibly in the conjugation orbit of a within the ball
-    classes = orbit_partition(CONJ, [w2("a"), w2("baB")], [w2("a"), w2("b")], bound=6)
-    assert len(classes) == 1
 
 
 # ---------------------------------------------------------------------------

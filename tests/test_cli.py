@@ -40,6 +40,9 @@ def test_job_from_dict_rejections():
         {**COSET_JOB, "epsilon": "-1/2"},
         {**COSET_JOB, "caps": {"core_cap": 0}},
         {**COSET_JOB, "caps": {"no_such_cap": 3}},
+        {**COSET_JOB, "caps": {"orbit_bound": 6}},
+        {**COSET_JOB, "out": True},
+        {**COSET_JOB, "out": 3},
         {**COSET_JOB, "seed": "0"},
         {**COSET_JOB, "E": ["c"]},  # letter outside rank 2
         [],
@@ -239,6 +242,9 @@ WORD_SCHEMA_CASES = {
     "rank-true": lambda d: d["action"].update(rank=True),
     "action-list": lambda d: d.update(action=[]),
     "subgroup-missing": lambda d: d["action"].pop("subgroup"),
+    "images-empty": lambda d: d.update(
+        action={"kind": "restricted", "inner": {"kind": "biregular", "rank": 2}, "images": []},
+        F=[], E=["1"]),
 }
 WORD_SCHEMA_ERRORS = {
     "F-string": ("F", "must be a list"),
@@ -248,6 +254,7 @@ WORD_SCHEMA_ERRORS = {
     "rank-true": ("action", "rank must be an integer"),
     "action-list": ("action", "action must be an object"),
     "subgroup-missing": ("action", "missing field 'subgroup'"),
+    "images-empty": ("action", "restricted action needs 1 to 26 images, got 0"),
 }
 
 
@@ -271,6 +278,15 @@ def test_approx_rejects_malformed_words_and_rank(tmp_path, capsys, case):
     assert main(["approx", "--config", write_job(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [config]: ") and WORD_SCHEMA_ERRORS[case][1] in err, err
+
+
+@pytest.mark.parametrize("command, tag", [("verify", "schema"), ("approx", "config")])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command, tag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["verify", str(deep)] if command == "verify" else ["approx", "--config", str(deep)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error [{tag}]: ")
 
 
 def test_verify_epsilon_override(tmp_path, capsys):

@@ -3,7 +3,8 @@ per-entry loops they replaced.
 
 The previous ``check_multiplicative``, ``check_orbit_witness`` and
 ``certificate_from_dict`` are kept below verbatim as references, with
-the previous ``compose``, ``hamming`` and phi evaluation they called.
+the previous ``compose``, ``hamming`` and phi evaluation they called,
+less the whole-word image override that phi evaluation no longer has.
 On built certificates and their mutants the two must agree field for
 field: every message and its order, ``triples_checked``, the defect,
 and the text of every ``CertificateFormatError``.
@@ -64,7 +65,7 @@ def _reference_hamming(p, q):
     return Fraction(sum(1 for a, b in zip(p, q) if a != b), len(p))
 
 
-def _reference_phi(approx, g, word_images=None):
+def _reference_phi(approx, g):
     """phi(g), every word composed onto a fresh identity."""
 
     def eval_word(w, offset):
@@ -75,30 +76,24 @@ def _reference_phi(approx, g, word_images=None):
         return perm
 
     if isinstance(g, tuple):
-        if word_images:
-            raise ValueError("word image overrides are only supported for free groups")
         return _reference_compose(eval_word(g[0], 0), eval_word(g[1], approx.rank))
-    if word_images is not None:
-        hit = word_images.get(g.text())
-        if hit is not None:
-            return tuple(hit)
     return eval_word(g, 0)
 
 
-def _reference_check_multiplicative(approx, F, word_images=None):
+def _reference_check_multiplicative(approx, F):
     """Max defect d(phi(gh), phi(g) . phi(h)) over (g, h) in F x F; 0 when F is empty."""
     worst = Fraction(0)
-    images = [_reference_phi(approx, g, word_images) for g in F]
+    images = [_reference_phi(approx, g) for g in F]
     for g, pg in zip(F, images):
         for h, ph in zip(F, images):
             gh = element_multiply(g, h)
-            defect = _reference_hamming(_reference_phi(approx, gh, word_images), _reference_compose(pg, ph))
+            defect = _reference_hamming(_reference_phi(approx, gh), _reference_compose(pg, ph))
             if defect > worst:
                 worst = defect
     return worst
 
 
-def _reference_check_orbit_witness(action, approx, F, E, witness, epsilon, word_images=None):
+def _reference_check_orbit_witness(action, approx, F, E, witness, epsilon):
     size = approx.size
     s_list = list(witness.s_points)
     s_pos = {s: p for p, s in enumerate(s_list)}
@@ -119,7 +114,7 @@ def _reference_check_orbit_witness(action, approx, F, E, witness, epsilon, word_
     equivariance_failures = []
     triples = 0
     for g in F:
-        perm = _reference_phi(approx, g, word_images)
+        perm = _reference_phi(approx, g)
         g_inv = element_invert(g)
         col_map = {}
         for i, x in enumerate(E):

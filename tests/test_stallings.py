@@ -18,10 +18,8 @@ from soficert.stallings import (
     hall_completion,
     image_group,
     left_coset_of,
-    normal_core,
-    schreier_representative,
 )
-from soficert.words import Word, free_reduce, identity, invert, multiply, parse_word
+from soficert.words import free_reduce, identity, invert, multiply, parse_word
 
 
 def w2(t):
@@ -257,38 +255,7 @@ def test_left_labels_separate_left_cosets():
 
 
 # ---------------------------------------------------------------------------
-# coset tables, Schreier representatives, normal core
-
-
-def test_schreier_representatives_shortlex_minimal():
-    table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
-    # oracle: enumerate every word of length <= 4 and keep the shortlex-least
-    # one landing on each coset
-    letters = [1, 2, -1, -2]
-    best = {}
-    frontier = [identity(2)]
-    for _ in range(4):
-        nxt = []
-        for u in frontier:
-            for l in letters:
-                v = multiply(u, Word((l,), 2))
-                if len(v) == len(u) + 1:
-                    nxt.append(v)
-        frontier = nxt
-        for v in nxt:
-            c = coset_of(table, v)
-            if c not in best or v.shortlex_key() < best[c].shortlex_key():
-                best[c] = v
-    best[0] = identity(2)
-    for c in range(table.size):
-        rep = schreier_representative(table, c)
-        assert coset_of(table, rep) == c
-        assert rep.shortlex_key() == best[c].shortlex_key()
-
-
-def test_schreier_frozen():
-    table = hall_completion(core_graph([w2("a")], 2), [w2("b")])
-    assert schreier_representative(table, 1).text() == "b"
+# coset tables
 
 
 def test_walk_permutation_antihomomorphism():
@@ -306,28 +273,6 @@ def test_image_group_and_cap():
     assert len(image_group(table.images, table.size, 10**6)) == 3
     with pytest.raises(CoreTooLargeError):
         image_group(table.images, table.size, 2)
-
-
-def test_normal_core_frozen():
-    table = hall_completion(core_graph([w2("a")], 2), [w2("b")])
-    core = normal_core(table, 10**6)
-    assert (core.size, core.images) == (2, ((0, 1), (1, 0)))
-
-
-def test_normal_core_is_normal_and_contained():
-    # the core's point group is the image group acting on itself: every
-    # generator permutation is fixed-point-free or the identity (regular)
-    table = CosetTable(2, 3, ((1, 2, 0), (0, 2, 1)))
-    core = normal_core(table, 10**6)
-    assert core.size == len(image_group(table.images, table.size, 10**6))
-    for img in core.images:
-        moved = [x for x in range(core.size) if img[x] != x]
-        assert moved == [] or len(moved) == core.size
-    # membership in the core implies membership in the subgroup
-    for t in ("ab", "ba", "aab", "bb", "abab", "aaa"):
-        word = w2(t)
-        if coset_of(core, word) == 0:
-            assert coset_of(table, word) == 0
 
 
 def test_coset_table_validates():

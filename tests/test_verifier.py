@@ -94,14 +94,6 @@ def test_multiplicative_empty_f():
     assert check_multiplicative(base_cert().approx, []) == 0
 
 
-def test_word_image_overrides_break_multiplicativity():
-    # a tabulated phi with phi(aa) planted wrong: phi(a)phi(a) composes to
-    # the identity but the table says transposition, so the defect is 1
-    approx = SoficApproximation("free", 1, 2, ((0, 1),))
-    defect = check_multiplicative(approx, [w1("a")], word_images={"aa": (1, 0)})
-    assert defect == 1
-
-
 def test_multiplicative_defect_of_non_permutation_images():
     # phi(g) evaluated from scratch for every pair, inverting a generator
     # image at every inverse letter: the cached inverses must agree, even
@@ -123,13 +115,20 @@ def test_multiplicative_defect_of_non_permutation_images():
 
 
 def test_word_image_overrides_break_unital():
+    """phi is composed from the generator images only: no per-word image
+    override is accepted, so phi(1) cannot be made to differ from the identity."""
     approx = SoficApproximation("free", 1, 2, ((0, 1),))
+    with pytest.raises(TypeError):
+        check_unital(approx, word_images={"1": (1, 0)})
+    with pytest.raises(TypeError):
+        approx.permutation_of(w1(""), word_images={"1": (1, 0)})
+    assert approx.permutation_of(w1("")) == identity_perm(2)
     assert check_unital(approx)
-    assert not check_unital(approx, word_images={"1": (1, 0)})
 
 
 def test_unital_trivial_carrier():
     assert check_unital(SoficApproximation("free", 2, 1, ((0,), (0,))))
+    assert check_unital(SoficApproximation("free", 1, 2, ((0, 1),)))
 
 
 # ---------------------------------------------------------------------------
