@@ -24,7 +24,6 @@ from .builder import (
     Certificate,
     CertificateFormatError,
     approximate,
-    combine_orbits,
     load_certificate,
     restrict_certificate,
     write_certificate,

@@ -169,6 +169,21 @@ def act(spec: ActionSpec, g: GroupElement, x: Word) -> Word:
 # separation targets
 
 
+def pairwise_differences(points: Sequence[Word]) -> list[Word]:
+    """x^-1 y over ordered pairs of distinct points, each word once, in the
+    order the pairs are first met."""
+    seen: set[tuple[int, ...]] = set()
+    out: list[Word] = []
+    for x in points:
+        for y in points:
+            if x.letters != y.letters:
+                w = multiply(invert(x), y)
+                if w.letters not in seen:
+                    seen.add(w.letters)
+                    out.append(w)
+    return out
+
+
 def separation_targets(
     spec: CosetAction, F: Sequence[Word], E: Sequence[Word]
 ) -> tuple[list[Word], list[Word]]:
@@ -185,18 +200,12 @@ def separation_targets(
     if len({w.letters for w in sigma}) != len(sigma):
         raise ValueError("duplicate points in E")
     graph = spec.graph
-    t_avoid: list[Word] = []
-    for x in sigma:
-        for y in sigma:
-            if x.letters == y.letters:
-                continue
-            w = multiply(invert(x), y)
-            if stallings.contains(graph, w):
-                raise AssertionError(
-                    f"separation sanity violated: {w.text()} in H for distinct cosets"
-                )
-            if all(w.letters != u.letters for u in t_avoid):
-                t_avoid.append(w)
+    t_avoid = pairwise_differences(sigma)
+    for w in t_avoid:
+        if stallings.contains(graph, w):
+            raise AssertionError(
+                f"separation sanity violated: {w.text()} in H for distinct cosets"
+            )
     t_contain: list[Word] = []
     for g in F:
         for x in sigma:
@@ -231,7 +240,13 @@ def action_to_json(spec: ActionSpec) -> dict:
     }
 
 
-def action_from_json(data: dict) -> ActionSpec:
+# deeper nesting is refused by the parser, before any recursion over the
+# levels can reach Python's stack limit
+MAX_NESTING = 64
+
+
+def action_from_json(data: dict, depth: int = 0) -> ActionSpec:
+    """Parse an action; ``depth`` counts the restricted levels around it."""
     if not isinstance(data, dict):
         raise TypeError(f"action must be an object, not {data!r}")
     kind = data.get("kind")
@@ -241,7 +256,9 @@ def action_from_json(data: dict) -> ActionSpec:
     if kind == "biregular":
         return BiregularAction(_json_field(data, "rank", int))
     if kind == "restricted":
-        inner = action_from_json(_json_field(data, "inner", dict))
+        if depth == MAX_NESTING:
+            raise ValueError(f"restricted actions nest deeper than {MAX_NESTING} levels")
+        inner = action_from_json(_json_field(data, "inner", dict), depth + 1)
         images = tuple(parse_element(inner, item) for item in _json_field(data, "images", list))
         return RestrictedAction(inner, images)
     raise ValueError(f"unknown action kind {kind!r}")

@@ -5,20 +5,24 @@ genuine homomorphism into Sym(A), S is all of A, and the orbit witness
 satisfies its equivariance equalities on the nose, so the claimed
 epsilon is always 0.
 
-The two base constructions for a finite-index separating table K of
-index n (left cosets labeled as in :mod:`soficert.stallings`):
+Each construction is a finite quotient acting on a finite label set B,
+and one routine, :func:`orbit_witness`, fills pi for all of them: it
+walks every generator orbit of the carrier from a seed row and sets
+row(phi(g)s) = row(s) . g_B^-1, keeping the columns at E's labels.
 
-* literal — A is all of Sym(n); g acts by left composition with the
-  permutation by which g left-multiplies the cosets; the witness at a
-  carrier point s sends the coset labeled c to s^-1(c).
-* core — A is the quotient by the normal core, realized as the group Q
+* literal — for a separating table K of index n (left cosets labeled as
+  in :mod:`soficert.stallings`), A is all of Sym(n); g acts by left
+  composition with the permutation by which g left-multiplies the
+  cosets; B is the n cosets and each orbit is seeded with s^-1.
+* core — the quotient by the normal core, realized as the group Q
   generated by the coset permutations; same shape, s ranges over Q only.
+* biregular — G x G acting on G uses the product carrier Q x Q for a
+  finite quotient Q in which the pairwise point differences survive;
+  B is Q, moved by left translations and by q -> q a^-1.
 
-Infinite-index coset actions are handled by separating finitely many
-coset relations through a Hall completion and lifting the finite-index
-witness through it; the biregular action of G x G on G uses the product
-carrier Q x Q for a finite quotient Q in which the pairwise point
-differences survive.
+Infinite-index coset actions reach the finite-index constructions
+through a Hall completion that separates finitely many coset relations;
+E's points are then labeled by their left cosets of the completion.
 """
 
 from __future__ import annotations
@@ -28,26 +32,25 @@ import json
 import os
 import random
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .actions import (
     ActionSpec,
     BiregularAction,
-    CosetAction,
     GroupElement,
     RestrictedAction,
-    act,
     acting_rank,
     action_from_json,
     action_to_json,
     apply_images,
     canonical_point,
     check_element,
-    element_invert,
     element_text,
+    pairwise_differences,
     parse_element,
     point_rank,
     separation_targets,
@@ -63,7 +66,7 @@ from .stallings import (
     image_group,
     left_coset_of,
 )
-from .words import Word, invert, multiply, parse_word
+from .words import Word, parse_word
 
 DEFAULT_EPSILON = Fraction(0)
 
@@ -152,14 +155,51 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# finite-index base constructions
+# the one witness routine and the constructions that feed it
+
+
+def orbit_witness(
+    images: Sequence[Sequence[int]],
+    b_images: Sequence[Sequence[int]],
+    labels: Sequence[int],
+    seed: Callable[[int], tuple[int, ...]],
+) -> OrbitWitness:
+    """Orbit witness of an exact homomorphism, propagated along the generators.
+
+    ``images[i]`` and ``b_images[i]`` are generator i's permutations of
+    the carrier and of the label set B = range(|B|); ``labels`` are the
+    B labels of E's points.  Each generator orbit of the carrier is
+    walked breadth-first from its first point t, whose full row
+    B -> B is ``seed(t)``; the step from s to phi(g)s sets
+    row(phi(g)s) = row(s) . g_B^-1, which is the equivariance identity
+    itself.  A point keeps only its row's entries at ``labels``; a full
+    row lives only while its point is queued.
+    """
+    b_inverses = [inverse(p) for p in b_images]
+    pi: list = [None] * len(images[0])
+    for t in range(len(pi)):
+        if pi[t] is not None:
+            continue
+        row = seed(t)
+        pi[t] = compose(row, labels)
+        queue = deque([(t, row)])
+        while queue:
+            s, row = queue.popleft()
+            for image, b_inverse in zip(images, b_inverses):
+                u = image[s]
+                if pi[u] is None:
+                    moved = compose(row, b_inverse)
+                    pi[u] = compose(moved, labels)
+                    queue.append((u, moved))
+    return OrbitWitness(tuple(range(len(pi))), tuple(range(len(b_images[0]))), tuple(pi))
 
 
 def finite_index_witness(
-    table: CosetTable, strategy: str = "core", caps: Caps = Caps()
+    table: CosetTable, labels: Sequence[int], strategy: str = "core", caps: Caps = Caps()
 ) -> tuple[SoficApproximation, OrbitWitness]:
     """Exact approximation of the left-multiplication action on the cosets
-    of ``table``, with a witness covering every coset (E = all n labels)."""
+    of ``table``, with its witness at the cosets ``labels``: B is all n
+    cosets and the row of a carrier point s is s^-1."""
     n = table.size
     gen_actions = [action_permutation(table, Word((i,), table.rank)) for i in range(1, table.rank + 1)]
     if strategy == "literal":
@@ -177,79 +217,30 @@ def finite_index_witness(
         tuple(index[compose(g, s)] for s in carrier) for g in gen_actions
     )
     approx = SoficApproximation("free", table.rank, len(carrier), images)
-    pi = tuple(inverse(s) for s in carrier)
-    witness = OrbitWitness(tuple(range(len(carrier))), tuple(range(n)), pi)
-    return approx, witness
+    return approx, orbit_witness(images, gen_actions, labels, lambda t: inverse(carrier[t]))
 
 
-def lift_witness(
-    approx: SoficApproximation,
-    base: OrbitWitness,
-    table: CosetTable,
-    spec: CosetAction,
-    F: Sequence[Word],
-    E: Sequence[Word],
-) -> OrbitWitness:
-    """Pull a witness over all cosets of a separating table back to E.
+def _separating_quotient(
+    rank: int, targets: Sequence[Word], caps: Caps
+) -> tuple[CosetTable, list[tuple[int, ...]], str]:
+    """Finite quotient of F_rank where every target survives, smallest order found.
 
-    Requires the table to avoid every pairwise difference of E's
-    representatives and to contain every transport relation from F x E;
-    then x -> (left coset of sigma(x)) is injective on E and equivariant,
-    so selecting those columns of the base witness is again a witness.
-    """
-    t_avoid, t_contain = separation_targets(spec, list(F), list(E))
-    for w in t_avoid:
-        if coset_of(table, w) == 0:
-            raise SeparatorInvalidError(f"table fails to avoid {w.text()!r}")
-    for w in t_contain:
-        if coset_of(table, w) != 0:
-            raise SeparatorInvalidError(f"table fails to contain {w.text()!r}")
-    sigma = [canonical_point(spec, x) for x in E]
-    cols = [left_coset_of(table, w) for w in sigma]
-    if len(set(cols)) != len(cols):
-        raise AssertionError("separating table produced a label collision")
-    pi = tuple(tuple(row[c] for c in cols) for row in base.pi)
-    return OrbitWitness(base.s_points, base.b_labels, pi)
-
-
-# ---------------------------------------------------------------------------
-# finite quotients for the biregular construction
-
-
-@dataclass(frozen=True)
-class _FiniteQuotient:
-    """A finite quotient of F_rank in which a required word set survives.
-
-    The quotient map sends w to ``action_permutation(table, w)``, the
-    permutation by which w left-multiplies the table's points;
-    ``elements`` lists the group those permutations generate."""
-
-    table: CosetTable
-    elements: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def _quotient(table: CosetTable, cap: int) -> _FiniteQuotient:
-    return _FiniteQuotient(table, tuple(image_group(table.images, table.size, cap)))
-
-
-def _separating_quotient(rank: int, targets: Sequence[Word], caps: Caps) -> tuple[_FiniteQuotient, str]:
-    """Finite quotient where every target survives, smallest order found.
-
+    The quotient map sends w to ``action_permutation(table, w)``; returns
+    the table, the group its walks generate and the route that found it.
     First tries the normal core of a Hall completion separating the
     targets; if its image group is too large for a product carrier, falls
     back to a deterministic search over small symmetric groups (seeded
     sampling beyond degree 3).
     """
     order_cap = max(2, int(caps.bireg_carrier_cap**0.5))
+
+    def quotient(table: CosetTable, route: str):
+        return table, image_group(table.images, table.size, order_cap), route
+
     if not targets:
-        return _quotient(CosetTable(rank, 1, ((0,),) * rank), 2), "hall-core"
+        return quotient(CosetTable(rank, 1, ((0,),) * rank), "hall-core")
     try:
-        table = hall_completion(core_graph([], rank), list(targets))
-        return _quotient(table, order_cap), "hall-core"
+        return quotient(hall_completion(core_graph([], rank), list(targets)), "hall-core")
     except CoreTooLargeError:
         pass
 
@@ -262,7 +253,7 @@ def _separating_quotient(rank: int, targets: Sequence[Word], caps: Caps) -> tupl
         for combo in itertools.product(perms, repeat=rank):
             table = CosetTable(rank, degree, combo)
             if separates(table):
-                return _quotient(table, order_cap), "quotient-search"
+                return quotient(table, "quotient-search")
     rng = random.Random(0)
     for degree in range(4, caps.quotient_degree_max + 1):
         perms = sorted(itertools.permutations(range(degree)))
@@ -270,7 +261,7 @@ def _separating_quotient(rank: int, targets: Sequence[Word], caps: Caps) -> tupl
             table = CosetTable(rank, degree, tuple(rng.choice(perms) for _ in range(rank)))
             if separates(table):
                 try:
-                    return _quotient(table, order_cap), "quotient-search"
+                    return quotient(table, "quotient-search")
                 except CoreTooLargeError:
                     continue
     raise CoreTooLargeError(
@@ -291,64 +282,37 @@ def biregular_approximation(
 
     For a normal finite-index K in which the pairwise differences of E
     survive, the carrier is Q x Q for Q = G/K acting coordinatewise by
-    left translation, B is Q, and the witness at (u, v) sends x to
-    u^-1 q(x) v; all equivariance equalities hold identically.
+    left translation and B is Q.  The left factor moves B by left
+    translation, the right factor by q -> q a^-1, and the row at the
+    identity (1, 1) is the identity, so the row at (u, v) is
+    q -> u^-1 q v.
     """
     spec = BiregularAction(rank)
     E = _checked_points(spec, E)
     for g in F:
         check_element(spec, g)
-    targets: list[Word] = []
-    for x in E:
-        for y in E:
-            if x.letters != y.letters:
-                w = multiply(invert(x), y)
-                if all(w.letters != u.letters for u in targets):
-                    targets.append(w)
-    quotient, strategy = _separating_quotient(rank, targets, caps)
-    m = quotient.order
+    table, elements, strategy = _separating_quotient(rank, pairwise_differences(E), caps)
+    m = len(elements)
     if m * m > caps.bireg_carrier_cap:
         raise CoreTooLargeError(f"carrier {m}x{m} exceeds cap {caps.bireg_carrier_cap}")
-    index = {p: i for i, p in enumerate(quotient.elements)}
-    e_labels = [index[action_permutation(quotient.table, x)] for x in E]
+    index = {p: i for i, p in enumerate(elements)}
+    e_labels = [index[action_permutation(table, x)] for x in E]
     if len(set(e_labels)) != len(e_labels):
         raise AssertionError("separating quotient produced a label collision")
 
-    translations = []
-    for i in range(1, rank + 1):
-        g = action_permutation(quotient.table, Word((i,), rank))
-        translations.append(tuple(index[compose(g, p)] for p in quotient.elements))
-    images = []
-    for side in range(2):
-        for tr in translations:
-            img = [0] * (m * m)
-            for u in range(m):
-                for v in range(m):
-                    if side == 0:
-                        img[u * m + v] = tr[u] * m + v
-                    else:
-                        img[u * m + v] = u * m + tr[v]
-            images.append(tuple(img))
+    gens = [action_permutation(table, Word((i,), rank)) for i in range(1, rank + 1)]
+    left = [tuple(index[compose(g, p)] for p in elements) for g in gens]
+    right = [tuple(index[compose(p, g_inv)] for p in elements) for g_inv in map(inverse, gens)]
+    images = [tuple(tr[u] * m + v for u in range(m) for v in range(m)) for tr in left]
+    images += [tuple(u * m + tr[v] for u in range(m) for v in range(m)) for tr in left]
     approx = SoficApproximation("product", rank, m * m, tuple(images))
-
-    inverses = [inverse(p) for p in quotient.elements]
-    pi = []
-    for u in range(m):
-        inv_u = inverses[u]
-        for v in range(m):
-            elt_v = quotient.elements[v]
-            row = tuple(
-                index[compose(inv_u, compose(quotient.elements[c], elt_v))]
-                for c in e_labels
-            )
-            pi.append(row)
-    witness = OrbitWitness(tuple(range(m * m)), tuple(range(m)), tuple(pi))
+    witness = orbit_witness(images, left + right, e_labels, lambda t: identity_perm(m))
     provenance = {
         "builder": "exact-homomorphism",
         "strategy": strategy,
         "requested_epsilon": str(epsilon),
-        "quotient": {"degree": quotient.table.size, "order": m,
-                     "walks": [list(p) for p in quotient.table.images]},
+        "quotient": {"degree": table.size, "order": m,
+                     "walks": [list(p) for p in table.images]},
         "point_labels": e_labels,
     }
     return Certificate(spec, tuple(F), tuple(E), Fraction(0), approx, witness, provenance)
@@ -388,10 +352,11 @@ def approximate(
 ) -> Certificate:
     """Build an exact certificate for (spec, F, E).
 
-    Coset actions run the separation pipeline (targets, Hall completion,
-    finite-index witness, lift).  The biregular action is transitive and
-    is built directly on a product carrier.  Restricted actions recurse
-    into the inner action along the generator images and pull phi back.
+    Coset actions run the separation pipeline (targets, Hall completion
+    checked against both halves of the targets, finite-index witness at
+    E's coset labels).  The biregular action is transitive and is built
+    directly on a product carrier.  Restricted actions recurse into the
+    inner action along the generator images and pull phi back.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -411,19 +376,27 @@ def approximate(
             return biregular_approximation(spec.rank, F, points, epsilon, caps)
 
     with _stage("separation_targets"):
-        t_avoid, _ = separation_targets(spec, list(F), points)
+        t_avoid, t_contain = separation_targets(spec, list(F), points)
     with _stage("hall_completion"):
         table = hall_completion(spec.graph, t_avoid)
+        for w in t_avoid:
+            if coset_of(table, w) == 0:
+                raise SeparatorInvalidError(f"table fails to avoid {w.text()!r}")
+        for w in t_contain:
+            if coset_of(table, w) != 0:
+                raise SeparatorInvalidError(f"table fails to contain {w.text()!r}")
+        # so x -> (left coset of x) is injective on E and equivariant
+        labels = [left_coset_of(table, x) for x in points]
+        if len(set(labels)) != len(labels):
+            raise AssertionError("separating table produced a label collision")
     with _stage("finite_index_witness"):
-        approx, base = finite_index_witness(table, strategy, caps)
-    with _stage("lift_witness"):
-        witness = lift_witness(approx, base, table, spec, list(F), points)
+        approx, witness = finite_index_witness(table, labels, strategy, caps)
     provenance = {
         "builder": "exact-homomorphism",
         "strategy": strategy,
         "requested_epsilon": str(epsilon),
         "separator": {"index": table.size, "images": [list(p) for p in table.images]},
-        "point_labels": [left_coset_of(table, x) for x in points],
+        "point_labels": labels,
     }
     return Certificate(spec, tuple(F), tuple(points), Fraction(0), approx, witness, provenance)
 
@@ -467,88 +440,6 @@ def _element_is_identity(g: GroupElement) -> bool:
     if isinstance(g, tuple):
         return g[0].is_identity and g[1].is_identity
     return g.is_identity
-
-
-def combine_orbits(parts: Sequence[Certificate]) -> Certificate:
-    """Combine certificates for orbit-closed pieces of one action.
-
-    All parts must share the action, F and epsilon, and be exact
-    (S = A).  The combined carrier is the cartesian product acting
-    coordinatewise, B the tagged disjoint union, and the witness at a
-    carrier tuple uses the coordinate of the orbit each point lies in.
-    """
-    if not parts:
-        raise ValueError("need at least one part")
-    first = parts[0]
-    action_json = json.dumps(action_to_json(first.action), sort_keys=True)
-    f_json = json.dumps([element_text(g) for g in first.F], sort_keys=True)
-    for p in parts:
-        if json.dumps(action_to_json(p.action), sort_keys=True) != action_json:
-            raise ValueError("parts disagree on the action")
-        if json.dumps([element_text(g) for g in p.F], sort_keys=True) != f_json:
-            raise ValueError("parts disagree on F")
-        if p.epsilon != first.epsilon:
-            raise ValueError("parts disagree on epsilon")
-        if list(p.witness.s_points) != list(range(p.approx.size)):
-            raise ValueError("parts must be exact (S = A) to combine")
-    combined_E: list[Word] = []
-    part_of: dict[tuple, int] = {}
-    for t, p in enumerate(parts):
-        for x in p.E:
-            combined_E.append(x)
-            part_of[x.letters] = t
-    if len(part_of) != len(combined_E):
-        raise ValueError("parts overlap on E")
-    # no single F-step may carry a point of one part into another part:
-    # a crossing triple would force differently tagged labels to be equal
-    for t, p in enumerate(parts):
-        for g in first.F:
-            g_inv = element_invert(g)
-            for x in p.E:
-                y = act(first.action, g_inv, x)
-                other = part_of.get(y.letters)
-                if other is not None and other != t:
-                    raise ValueError(
-                        f"parts are not orbit-separated: {element_text(g_inv)!r} "
-                        f"carries {x.text()!r} into part {other}"
-                    )
-
-    sizes = [p.approx.size for p in parts]
-    total = 1
-    for s in sizes:
-        total *= s
-    coords = list(itertools.product(*[range(s) for s in sizes]))
-    coord_index = {c: i for i, c in enumerate(coords)}
-
-    n_arrays = len(first.approx.images)
-    images = []
-    for gi in range(n_arrays):
-        img = []
-        for c in coords:
-            img.append(coord_index[tuple(p.approx.images[gi][c[t]] for t, p in enumerate(parts))])
-        images.append(tuple(img))
-    approx = SoficApproximation(first.approx.group_kind, first.approx.rank, total, tuple(images))
-
-    b_labels: list = []
-    offsets = []
-    for t, p in enumerate(parts):
-        offsets.append(len(b_labels))
-        b_labels.extend((t, lab) for lab in p.witness.b_labels)
-    pi = []
-    for c in coords:
-        row: list[int] = []
-        for t, p in enumerate(parts):
-            row.extend(offsets[t] + v for v in p.witness.pi[c[t]])
-        pi.append(tuple(row))
-    witness = OrbitWitness(tuple(range(total)), tuple(b_labels), tuple(pi))
-    provenance = {
-        "builder": "exact-homomorphism",
-        "strategy": "combined",
-        "parts": sizes,
-    }
-    return Certificate(
-        first.action, first.F, tuple(combined_E), first.epsilon, approx, witness, provenance
-    )
 
 
 # ---------------------------------------------------------------------------

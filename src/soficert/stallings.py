@@ -76,12 +76,6 @@ class StallingsGraph:
             state = nxt
         return state
 
-    def dump(self) -> str:
-        lines = [f"rank: {self.rank}", f"vertices: {self.vertex_count}", "basepoint: 0"]
-        for u, l, v in self.edges:
-            lines.append(f"  {u} --{chr(ord('a') + l - 1)}--> {v}")
-        return "\n".join(lines)
-
 
 _SIGNED_LETTERS_CACHE: dict[int, tuple[int, ...]] = {}
 

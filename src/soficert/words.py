@@ -15,11 +15,6 @@ from typing import Iterable, Sequence
 MAX_RANK = 26
 
 
-def letter_key(letter: int) -> tuple[int, int]:
-    """Sort key over signed letters: generators first, then inverses, ascending."""
-    return (0, letter) if letter > 0 else (1, -letter)
-
-
 @dataclass(frozen=True)
 class Word:
     letters: tuple[int, ...]
@@ -58,9 +53,6 @@ class Word:
             chr(ord("a") + l - 1) if l > 0 else chr(ord("A") - l - 1)
             for l in self.letters
         )
-
-    def shortlex_key(self) -> tuple:
-        return (len(self.letters), tuple(letter_key(l) for l in self.letters))
 
 
 def identity(rank: int) -> Word:

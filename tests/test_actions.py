@@ -3,6 +3,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from soficert.actions import (
+    MAX_NESTING,
     BiregularAction,
     CosetAction,
     RestrictedAction,
@@ -12,6 +13,7 @@ from soficert.actions import (
     canonical_point,
     element_invert,
     element_multiply,
+    pairwise_differences,
     separation_targets,
 )
 from soficert.stallings import contains, core_graph
@@ -45,6 +47,11 @@ def test_canonical_point_frozen():
     assert canonical_point(COSET, w2("aaa")).text() == "1"
 
 
+def shortlex(w):
+    """Length first, then letters with generators before inverses, ascending."""
+    return len(w), [(0, l) if l > 0 else (1, -l) for l in w.letters]
+
+
 def test_canonical_point_shortlex_oracle():
     # exhaustively check minimality over every word of length <= 4
     graph = core_graph([w2("a")], 2)
@@ -62,7 +69,7 @@ def test_canonical_point_shortlex_oracle():
     for target in everything:
         best = min(
             (c for c in everything if contains(graph, multiply(invert(c), target))),
-            key=lambda c: c.shortlex_key(),
+            key=shortlex,
         )
         assert canonical_point(COSET, target) == best
 
@@ -159,3 +166,28 @@ def test_action_json_round_trip():
 def test_action_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         action_from_json({"kind": "regular", "rank": 2})
+
+
+def nested(depth):
+    """A coset action of F_1 wrapped in ``depth`` restricted levels."""
+    action = {"kind": "coset", "rank": 1, "subgroup": ["aa"]}
+    for _ in range(depth):
+        action = {"kind": "restricted", "inner": action, "images": ["a"]}
+    return action
+
+
+def test_action_json_nesting_limit():
+    spec = action_from_json(nested(MAX_NESTING))
+    assert action_to_json(spec) == nested(MAX_NESTING)
+    with pytest.raises(ValueError, match=f"deeper than {MAX_NESTING}"):
+        action_from_json(nested(MAX_NESTING + 1))
+
+
+def test_pairwise_differences_in_first_seen_order():
+    points = [w2(t) for t in ("", "a", "ab")]
+    assert [w.text() for w in pairwise_differences(points)] == ["a", "ab", "A", "b", "BA", "B"]
+    # x^-1 y repeats across pairs (1, a) and (a, aa); it is listed once
+    repeated = [w2(t) for t in ("", "a", "aa")]
+    assert [w.text() for w in pairwise_differences(repeated)] == ["a", "aa", "A", "AA"]
+    avoid, _ = separation_targets(COSET, [w2("a")], [w2(""), w2("b")])
+    assert avoid == pairwise_differences([w2(""), w2("b")])

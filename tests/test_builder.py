@@ -23,16 +23,16 @@ from soficert.builder import (
     approximate,
     certificate_from_dict,
     certificate_to_dict,
-    combine_orbits,
     finite_index_witness,
-    lift_witness,
     load_certificate,
+    orbit_witness,
     restrict_certificate,
     write_certificate,
 )
 from soficert.permutations import compose, inverse
 from soficert.stallings import (
     CosetTable,
+    action_permutation,
     core_graph,
     coset_of,
     hall_completion,
@@ -101,8 +101,9 @@ def test_identity_lift_through_own_table():
 
 def test_literal_matches_core_rows():
     table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
-    approx_lit, wit_lit = finite_index_witness(table, "literal")
-    approx_core, wit_core = finite_index_witness(table, "core")
+    every_coset = list(range(table.size))
+    approx_lit, wit_lit = finite_index_witness(table, every_coset, "literal")
+    approx_core, wit_core = finite_index_witness(table, every_coset, "core")
     carrier_lit = sorted(itertools.permutations(range(table.size)))
     carrier_core = image_group(table.images, table.size, 10**6)
     index = {p: i for i, p in enumerate(carrier_lit)}
@@ -115,7 +116,7 @@ def test_literal_matches_core_rows():
 
 def test_literal_pi_is_inverse_permutation():
     table = hall_completion(core_graph([w2("a")], 2), [w2("b")])
-    approx, wit = finite_index_witness(table, "literal")
+    approx, wit = finite_index_witness(table, [0, 1], "literal")
     carrier = sorted(itertools.permutations(range(2)))
     for j, s in enumerate(carrier):
         assert wit.pi[j] == inverse(s)
@@ -125,14 +126,50 @@ def test_literal_degree_cap():
     table = hall_completion(core_graph([], 2), [w2(t) for t in ("a", "b", "ab", "ba", "aab", "abb")])
     assert table.size > 6
     with pytest.raises(Exception):
-        finite_index_witness(table, "literal", Caps(literal_degree_max=6))
+        finite_index_witness(table, [0], "literal", Caps(literal_degree_max=6))
 
 
-def test_lift_rejects_non_separating_table():
-    trivial = CosetTable(2, 1, ((0,), (0,)))
-    approx, base = finite_index_witness(trivial, "core")
-    with pytest.raises(SeparatorInvalidError):
-        lift_witness(approx, base, trivial, COSET_A, F_AB, [w2(""), w2("b")])
+def test_orbit_witness_seeds_each_orbit_once():
+    # H = <a>, E = {1, b}: the separator has index 3 and its coset
+    # permutations generate a group of order 3, so the literal carrier
+    # Sym(3) falls into two generator orbits of 3 points
+    E = [w2(""), w2("b")]
+    avoid, _ = separation_targets(COSET_A, F_AB, E)
+    table = hall_completion(COSET_A.graph, avoid)
+    labels = [left_coset_of(table, x) for x in E]
+    carrier = sorted(itertools.permutations(range(3)))
+    approx, built = finite_index_witness(table, labels, "literal")
+    seeded = []
+
+    def seed(t):
+        seeded.append(t)
+        return inverse(carrier[t])
+
+    gens = [action_permutation(table, g) for g in F_AB]
+    wit = orbit_witness(approx.images, gens, labels, seed)
+    orbit = {0}
+    for _ in range(3):
+        orbit |= {img[s] for img in approx.images for s in orbit}
+    assert len(orbit) == 3
+    assert seeded[0] == 0 and len(seeded) == 2 and seeded[1] not in orbit
+    assert wit == built
+    assert wit.s_points == tuple(range(6)) and wit.b_labels == (0, 1, 2)
+    for s, row in zip(carrier, wit.pi):
+        assert row == tuple(inverse(s)[c] for c in labels)
+
+
+def test_lift_rejects_non_separating_table(monkeypatch):
+    for images, fails in [
+        (((0,), (0,)), "avoid"),  # one coset: b and B lie in it
+        (((1, 0), (1, 0)), "contain"),  # b leaves coset 0, but so does a, which H contains
+    ]:
+        table = CosetTable(2, len(images[0]), images)
+        monkeypatch.setattr("soficert.builder.hall_completion", lambda graph, avoid: table)
+        with pytest.raises(StageError) as info:
+            approximate(COSET_A, F_AB, [w2(""), w2("b")])
+        assert info.value.stage == "hall_completion"
+        assert isinstance(info.value.cause, SeparatorInvalidError)
+        assert f"fails to {fails}" in str(info.value.cause)
 
 
 def test_lift_uses_left_coset_labels():
@@ -288,48 +325,6 @@ def test_point_order_does_not_affect_acceptance(order):
 
 
 # ---------------------------------------------------------------------------
-# combining orbit pieces
-
-
-def test_combine_orbits_product():
-    # conjugation orbit pieces: {a, baB} and {b} are not linked by any
-    # single F-step, so their certificates combine
-    c1 = approximate(CONJ, F_AB, [w2("a"), w2("baB")])
-    c2 = approximate(CONJ, F_AB, [w2("b")])
-    combined = combine_orbits([c1, c2])
-    assert combined.approx.size == c1.approx.size * c2.approx.size
-    assert len(combined.witness.b_labels) == len(c1.witness.b_labels) + len(c2.witness.b_labels)
-    assert [x.text() for x in combined.E] == ["a", "baB", "b"]
-    assert verify_certificate(combined).accepted
-
-
-def test_combine_two_trivial_parts():
-    c1 = approximate(COSET_A, F_AB, [w2("")])
-    c2 = approximate(COSET_A, F_AB, [w2("bb")])
-    combined = combine_orbits([c1, c2])
-    assert combined.approx.size == 1
-    assert combined.witness.b_labels == ((0, 0), (1, 0))
-    assert verify_certificate(combined).accepted
-
-
-def test_combine_orbits_validation():
-    c1 = approximate(COSET_A, F_AB, [w2(""), w2("b")])
-    other_f = approximate(COSET_A, [w2("a")], [w2("ab")])
-    with pytest.raises(ValueError):
-        combine_orbits([c1, other_f])
-    overlap = approximate(COSET_A, F_AB, [w2("b")])
-    with pytest.raises(ValueError):
-        combine_orbits([c1, overlap])
-    # a^-1 carries the coset of ab onto the coset of b, so these two
-    # E-sets are one F-step apart and must be refused
-    crossing = approximate(COSET_A, F_AB, [w2("ab")])
-    with pytest.raises(ValueError, match="orbit-separated"):
-        combine_orbits([c1, crossing])
-    with pytest.raises(ValueError):
-        combine_orbits([])
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -342,6 +337,12 @@ def test_round_trip_bytes(tmp_path):
     write_certificate(again, str(path))
     assert path.read_text() == text
     assert json.loads(text)["epsilon"] == "0"
+    # the builder writes integer labels; [tag, label] pairs still load
+    tagged = {**json.loads(text), "B": [[0, 0], [0, 1], [1, 0]]}
+    cert = certificate_from_dict(tagged)
+    assert cert.witness.b_labels == ((0, 0), (0, 1), (1, 0))
+    assert verify_certificate(cert).accepted
+    assert certificate_to_dict(cert)["B"] == tagged["B"]
 
 
 def test_schema_field_errors():

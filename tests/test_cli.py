@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -289,6 +290,50 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command, tag):
     assert capsys.readouterr().err.startswith(f"error [{tag}]: ")
 
 
+def nested_job(depth):
+    """A coset job over F_1 whose action is wrapped in ``depth`` restricted levels."""
+    action = {"kind": "coset", "rank": 1, "subgroup": ["aa"]}
+    for _ in range(depth):
+        action = {"kind": "restricted", "inner": action, "images": ["a"]}
+    return {"action": action, "F": ["a"], "E": ["1", "a"]}
+
+
+def test_restricted_nesting_limit(tmp_path, capsys):
+    # 64 restricted levels build and verify; one more is refused by both parsers
+    out = str(tmp_path / "deep64.json")
+    assert main(["approx", "--config", write_job(tmp_path, nested_job(64)), "--out", out]) == 0
+    assert main(["verify", out]) == 0
+    capsys.readouterr()
+    assert main(["approx", "--config", write_job(tmp_path, nested_job(65))]) == 2
+    assert capsys.readouterr().err.startswith("error [config]: restricted actions nest deeper than 64")
+    data = json.loads(open(out).read())
+    data["action"] = nested_job(65)["action"]
+    bad = tmp_path / "deep65.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error [schema]: action: restricted actions nest deeper")
+
+
+def test_nesting_near_the_json_limit_exits_2_without_traceback(tmp_path):
+    # 982 levels still load as JSON in a fresh interpreter; the text is
+    # spliced, since json.dumps would overflow this one's stack
+    depth = 982
+    action = ('{"kind": "restricted", "images": ["a"], "inner": ' * depth
+              + '{"kind": "coset", "rank": 1, "subgroup": ["aa"]}' + "}" * depth)
+    job = nested_job(64)
+    out = tmp_path / "deep64.json"
+    assert main(["approx", "--config", write_job(tmp_path, job), "--out", str(out)]) == 0
+    path = tmp_path / "deep982.json"
+    for argv, data, tag in [(["verify", str(path)], json.loads(out.read_text()), "schema"),
+                            (["approx", "--config", str(path)], job, "config")]:
+        rest = json.dumps({k: v for k, v in data.items() if k != "action"})
+        path.write_text('{"action": ' + action + ", " + rest[1:])
+        proc = run_python("-m", "soficert.cli", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error [{tag}]: ") and "Traceback" not in proc.stderr
+        assert "nest deeper than 64" in proc.stderr
+
+
 def test_verify_epsilon_override(tmp_path, capsys):
     out = built_cert_path(tmp_path)
     capsys.readouterr()
@@ -385,3 +430,70 @@ def test_module_entry_point_runs_the_cli(tmp_path):
 def test_script_runs(script):
     proc = run_python(str(ROOT / "scripts" / script))
     assert proc.returncode == 0, proc.stderr
+
+
+# SHA-256 of the certificate files of the acceptance fixtures under the
+# core and literal strategies (F is every generator of the rank), of a
+# biregular job and of conj-demo: a change to any construction that
+# moves one byte of a certificate fails here
+PINNED_FIXTURES = [
+    (2, [], ["1", "a"],
+     "32b7de7583d80f028c4db785f714441a02e9aa96b430d59c6af64d3e117d21b4",
+     "b5b202d099a8ca3906c5a4776108d32aec6fe4d4f7b98873b680e7cd6f8d4181"),
+    (2, ["a"], ["1", "b"],
+     "797fc6a7cb292bd1b6d1e48ee542dbdc99551de64c4899662a77da43243f2242",
+     "108ee48fb89b84d6da696a37dff1bb62c7f6429a19935390532e6a616fb4a97a"),
+    (2, ["aa", "b"], ["1", "a"],
+     "7a199b2312bde995c6c6edfdbdcd4b085957dcdc2628a974e508b975fd6b9555",
+     "381656c55ab968a6eee642a75bf547ae606948a2314bc4c17e1b16927f7c27ec"),
+    (2, ["ab", "ba"], ["1", "a"],
+     "1f75a2aa2fb9d463b66ae5042ee7adb8c38ebcc117c295a78f496470623ced63",
+     "a9195d21c92607f36328c56cf84043ce4a66864b66aba13a5f26cde4a582ac68"),
+    (2, ["abA"], ["1", "a"],
+     "901863c9ba484cbff0481399d89e0004c0b5a9ea009a0f239b370a6851e6f3cc",
+     "e8b2f181a086cd1a39c36a752217d9fd0394e594a6fdd4463d2939c56a9463e1"),
+    (2, ["aa", "ab"], ["1", "a"],
+     "a6055074602f56664843dea5a0a7c0861d450999b8dfb409adfa71b6ac4a7804",
+     "40ea57fdfc7b9c03f9280373dbfa39adf02b5ee109ae092e9a154f1cc9194ea2"),
+    (2, ["a", "bb"], ["1", "b"],
+     "f7e02deee9bfb384b457136ae8c664ca41346b5f1f3896de91704f42341e8079",
+     "8fad9d6f88cb32e3c54005d28064b3ededec94dd3a88bc067e131813065cabd9"),
+    (2, ["aba"], ["1", "a", "ab"],
+     "b6863408715e9291cc138cd52975a8f67d775e74c5971d6c217519f0cbcd975f",
+     "d19640c5319b59c1a644483603f64a4c78dbcc45fa5b21a6a6a23fd7f824089f"),
+    (3, [], ["1", "a"],
+     "32159687ae8b8827403af80e26a24153d8eee9158be6946f1504ed4fbd3abf9f",
+     "0143483498c9c012d52ba008828f6118337666e1c5484af7181b9b2b33d06483"),
+    (3, ["a", "b"], ["1", "c"],
+     "a6b80758d313dcf06edb008a4aaddbe063b4dc0b56d865dfec8d9f159f72e4e1",
+     "7065c309c0c557a4fbff936a6d3a16a5237d8db21ae732870b203a566c371658"),
+    (3, ["ab", "c"], ["1", "a"],
+     "e9322eb06e8274f1f080f2af8291a6bd67c0979c563a2d1513b2e2c5fee459b9",
+     "74a4a697b558e6ca9ab71de0e89b4fc4e08a84d698e95353d331df8e50c194d9"),
+    (3, ["aa", "b", "c"], ["1", "a"],
+     "69fb2af0329c685e9f32910b8db90bf985233cdc91e47e89042e2ecff870b9b2",
+     "985416aa90dc8d4e042ddd523942a599ba2cc9d66e2d75a9aff6359b4dff37a1"),
+]
+PINNED_BIREGULAR = "afb9966c778741d22c75ef728b58086a384542f98f443c152b4d2234ef48f48b"
+PINNED_CONJ_DEMO = "b0e0d60755a0aafd173d034ab08071661491838dcbe1711d0194f6bda6609986"
+
+
+def certificate_sha(tmp_path, data):
+    out = tmp_path / "pinned.json"
+    assert main(["approx", "--config", write_job(tmp_path, data), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_certificate_bytes_are_pinned(tmp_path):
+    for rank, sub, E, core, literal in PINNED_FIXTURES:
+        job = {"action": {"kind": "coset", "rank": rank, "subgroup": sub},
+               "F": [chr(97 + i) for i in range(rank)], "E": E}
+        assert certificate_sha(tmp_path, {**job, "strategy": "core"}) == core, (sub, E)
+        assert certificate_sha(tmp_path, {**job, "strategy": "literal"}) == literal, (sub, E)
+    biregular = {"action": {"kind": "biregular", "rank": 2},
+                 "F": [["a", "1"], ["b", "1"], ["1", "a"], ["1", "b"]],
+                 "E": ["1", "a", "b", "ab", "ba"]}
+    assert certificate_sha(tmp_path, biregular) == PINNED_BIREGULAR
+    out = tmp_path / "conj.json"
+    assert main(["conj-demo", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CONJ_DEMO

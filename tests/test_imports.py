@@ -1,7 +1,7 @@
 """Import hygiene of the package, read off each module's syntax tree:
 every imported name is used, every import is the standard library or
-soficert itself, and every top-level function and class is used by the
-package or its scripts."""
+soficert itself, and every top-level function and class, and every
+method that is not a dunder, is used by the package or its scripts."""
 
 import ast
 import sys
@@ -14,8 +14,7 @@ PACKAGE = ROOT / "src" / "soficert"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
-# the union-find witness of ROADMAP item 2 replaces combine_orbits
-UNREFERENCED_ALLOWED = {"combine_orbits"}
+UNREFERENCED_ALLOWED: set[str] = set()
 
 
 def imports(tree):
@@ -62,15 +61,39 @@ def referenced_names(node):
             yield sub.attr
 
 
+def statements(split_classes=False):
+    """(statement, whether it is in a class body, names it references)
+    over the top level of every module and script but ``__init__.py``;
+    with ``split_classes``, a class gives the statements of its body
+    instead of itself."""
+    for path in MODULES + SCRIPTS:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            split = split_classes and isinstance(node, ast.ClassDef)
+            for stmt in node.body if split else [node]:
+                yield stmt, split, set(referenced_names(stmt))
+
+
+def used(node, units):
+    return node.name in UNREFERENCED_ALLOWED or any(
+        node.name in names for other, _, names in units if other is not node)
+
+
 def test_every_top_level_definition_is_referenced():
     # a re-export from __init__.py or a use in a test is not a use
-    statements = [(node, set(referenced_names(node)))
-                  for path in MODULES + SCRIPTS if path.name != "__init__.py"
-                  for node in ast.parse(path.read_text()).body]
-    unreferenced = [
-        node.name for node, _ in statements
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in UNREFERENCED_ALLOWED
-        and not any(node.name in names for other, names in statements if other is not node)
-    ]
+    units = list(statements())
+    unreferenced = [node.name for node, _, _ in units
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not used(node, units)]
+    assert unreferenced == []
+
+
+def test_every_method_is_referenced():
+    # a use by another method of the same class counts; dunders are
+    # called by the language
+    units = list(statements(split_classes=True))
+    unreferenced = [node.name for node, in_class, _ in units
+                    if in_class and isinstance(node, ast.FunctionDef)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and not used(node, units)]
     assert unreferenced == []

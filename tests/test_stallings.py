@@ -98,7 +98,7 @@ def generator_sets(draw, rank=2):
 @given(generator_sets())
 def test_core_graph_order_independent(gens):
     forward = core_graph(gens, 2)
-    assert core_graph(list(reversed(gens)), 2).dump() == forward.dump()
+    assert core_graph(list(reversed(gens)), 2) == forward
 
 
 @given(generator_sets())
@@ -106,7 +106,7 @@ def test_core_graph_absorbs_redundant_generator(gens):
     if len(gens) < 2:
         return
     redundant = multiply(gens[0], invert(gens[1]))
-    assert core_graph(gens + [redundant], 2).dump() == core_graph(gens, 2).dump()
+    assert core_graph(gens + [redundant], 2) == core_graph(gens, 2)
 
 
 @given(generator_sets(), st.integers(min_value=0, max_value=20))
