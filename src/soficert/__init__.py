@@ -20,7 +20,6 @@ from .actions import (
     separation_targets,
 )
 from .builder import (
-    Caps,
     Certificate,
     CertificateFormatError,
     approximate,

@@ -244,24 +244,34 @@ def action_to_json(spec: ActionSpec) -> dict:
 # levels can reach Python's stack limit
 MAX_NESTING = 64
 
+# the fields of each kind of action object; any other key is refused
+_ACTION_FIELDS = {
+    "coset": ("kind", "rank", "subgroup"),
+    "biregular": ("kind", "rank"),
+    "restricted": ("kind", "inner", "images"),
+}
+
 
 def action_from_json(data: dict, depth: int = 0) -> ActionSpec:
     """Parse an action; ``depth`` counts the restricted levels around it."""
     if not isinstance(data, dict):
         raise TypeError(f"action must be an object, not {data!r}")
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _ACTION_FIELDS:
+        raise ValueError(f"unknown action kind {kind!r}")
+    for key in data:
+        if key not in _ACTION_FIELDS[kind]:
+            raise ValueError(f"unknown field {key!r} in a {kind} action")
     if kind == "coset":
         rank = _json_field(data, "rank", int)
         return CosetAction(rank, tuple(parse_word(t, rank) for t in _json_field(data, "subgroup", list)))
     if kind == "biregular":
         return BiregularAction(_json_field(data, "rank", int))
-    if kind == "restricted":
-        if depth == MAX_NESTING:
-            raise ValueError(f"restricted actions nest deeper than {MAX_NESTING} levels")
-        inner = action_from_json(_json_field(data, "inner", dict), depth + 1)
-        images = tuple(parse_element(inner, item) for item in _json_field(data, "images", list))
-        return RestrictedAction(inner, images)
-    raise ValueError(f"unknown action kind {kind!r}")
+    if depth == MAX_NESTING:
+        raise ValueError(f"restricted actions nest deeper than {MAX_NESTING} levels")
+    inner = action_from_json(_json_field(data, "inner", dict), depth + 1)
+    images = tuple(parse_element(inner, item) for item in _json_field(data, "images", list))
+    return RestrictedAction(inner, images)
 
 
 _JSON_TYPE_NAMES = {int: "an integer", list: "a list", dict: "an object"}

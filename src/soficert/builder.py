@@ -23,6 +23,10 @@ row(phi(g)s) = row(s) . g_B^-1, keeping the columns at E's labels.
 Infinite-index coset actions reach the finite-index constructions
 through a Hall completion that separates finitely many coset relations;
 E's points are then labeled by their left cosets of the completion.
+
+The one size setting is ``core_cap``; the literal degree and the
+biregular quotient search are bounded by the constants below.  B is
+range(|B|), stored in a certificate file as distinct integers.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import json
 import os
 import random
 import re
+import reprlib
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,6 +62,7 @@ from .actions import (
 )
 from .permutations import compose, identity_perm, inverse
 from .stallings import (
+    DEFAULT_CORE_CAP,
     CoreTooLargeError,
     CosetTable,
     action_permutation,
@@ -70,6 +76,15 @@ from .words import Word, parse_word
 
 DEFAULT_EPSILON = Fraction(0)
 
+# the literal strategy keeps all of Sym(n) for a separator of index n
+LITERAL_DEGREE_MAX = 6
+# a biregular carrier Q x Q stays within 10**5 points
+QUOTIENT_ORDER_MAX = int(100_000**0.5)
+# the small-quotient search: exhaustive below degree 4, then this many
+# seeded samples per degree up to the maximum
+QUOTIENT_DEGREE_MAX = 5
+QUOTIENT_SAMPLES = 2000
+
 
 class SeparatorInvalidError(ValueError):
     """The supplied table does not separate the required words."""
@@ -82,17 +97,6 @@ class StageError(RuntimeError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage}: {cause}")
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Size limits for the search/closure stages."""
-
-    core_cap: int = 10**6
-    literal_degree_max: int = 6
-    bireg_carrier_cap: int = 100_000
-    quotient_degree_max: int = 5
-    quotient_samples: int = 2000
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ class OrbitWitness:
     """
 
     s_points: tuple[int, ...]
-    b_labels: tuple
+    b_labels: tuple[int, ...]
     pi: tuple[tuple[int, ...], ...]
 
 
@@ -195,7 +199,7 @@ def orbit_witness(
 
 
 def finite_index_witness(
-    table: CosetTable, labels: Sequence[int], strategy: str = "core", caps: Caps = Caps()
+    table: CosetTable, labels: Sequence[int], strategy: str = "core", core_cap: int = DEFAULT_CORE_CAP
 ) -> tuple[SoficApproximation, OrbitWitness]:
     """Exact approximation of the left-multiplication action on the cosets
     of ``table``, with its witness at the cosets ``labels``: B is all n
@@ -203,13 +207,13 @@ def finite_index_witness(
     n = table.size
     gen_actions = [action_permutation(table, Word((i,), table.rank)) for i in range(1, table.rank + 1)]
     if strategy == "literal":
-        if n > caps.literal_degree_max:
+        if n > LITERAL_DEGREE_MAX:
             raise CoreTooLargeError(
-                f"literal strategy keeps all of Sym({n}); capped at degree {caps.literal_degree_max}"
+                f"literal strategy keeps all of Sym({n}); capped at degree {LITERAL_DEGREE_MAX}"
             )
         carrier = sorted(itertools.permutations(range(n)))
     elif strategy == "core":
-        carrier = image_group(table.images, table.size, caps.core_cap)
+        carrier = image_group(table.images, table.size, core_cap)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     index = {p: i for i, p in enumerate(carrier)}
@@ -221,24 +225,21 @@ def finite_index_witness(
 
 
 def _separating_quotient(
-    rank: int, targets: Sequence[Word], caps: Caps
+    rank: int, targets: Sequence[Word]
 ) -> tuple[CosetTable, list[tuple[int, ...]], str]:
     """Finite quotient of F_rank where every target survives, smallest order found.
 
     The quotient map sends w to ``action_permutation(table, w)``; returns
     the table, the group its walks generate and the route that found it.
     First tries the normal core of a Hall completion separating the
-    targets; if its image group is too large for a product carrier, falls
+    targets; if its image group is above ``QUOTIENT_ORDER_MAX``, falls
     back to a deterministic search over small symmetric groups (seeded
-    sampling beyond degree 3).
+    sampling beyond degree 3), whose groups are never that large.
     """
-    order_cap = max(2, int(caps.bireg_carrier_cap**0.5))
 
     def quotient(table: CosetTable, route: str):
-        return table, image_group(table.images, table.size, order_cap), route
+        return table, image_group(table.images, table.size, QUOTIENT_ORDER_MAX), route
 
-    if not targets:
-        return quotient(CosetTable(rank, 1, ((0,),) * rank), "hall-core")
     try:
         return quotient(hall_completion(core_graph([], rank), list(targets)), "hall-core")
     except CoreTooLargeError:
@@ -255,30 +256,24 @@ def _separating_quotient(
             if separates(table):
                 return quotient(table, "quotient-search")
     rng = random.Random(0)
-    for degree in range(4, caps.quotient_degree_max + 1):
+    for degree in range(4, QUOTIENT_DEGREE_MAX + 1):
         perms = sorted(itertools.permutations(range(degree)))
-        for _ in range(caps.quotient_samples):
+        for _ in range(QUOTIENT_SAMPLES):
             table = CosetTable(rank, degree, tuple(rng.choice(perms) for _ in range(rank)))
             if separates(table):
-                try:
-                    return quotient(table, "quotient-search")
-                except CoreTooLargeError:
-                    continue
+                return quotient(table, "quotient-search")
     raise CoreTooLargeError(
         "no small quotient separates "
         + ", ".join(w.text() for w in targets)
-        + f" within degree {caps.quotient_degree_max}"
+        + f" within degree {QUOTIENT_DEGREE_MAX}"
     )
 
 
 def biregular_approximation(
-    rank: int,
-    F: Sequence[GroupElement],
-    E: Sequence[Word],
-    epsilon: Fraction = DEFAULT_EPSILON,
-    caps: Caps = Caps(),
+    rank: int, F: Sequence[GroupElement], E: Sequence[Word], epsilon: Fraction
 ) -> Certificate:
-    """Exact certificate for G x G acting on G by (h, k): x -> h x k^-1.
+    """Exact certificate for G x G acting on G by (h, k): x -> h x k^-1;
+    F and E come checked and canonical from ``approximate``.
 
     For a normal finite-index K in which the pairwise differences of E
     survive, the carrier is Q x Q for Q = G/K acting coordinatewise by
@@ -287,14 +282,8 @@ def biregular_approximation(
     identity (1, 1) is the identity, so the row at (u, v) is
     q -> u^-1 q v.
     """
-    spec = BiregularAction(rank)
-    E = _checked_points(spec, E)
-    for g in F:
-        check_element(spec, g)
-    table, elements, strategy = _separating_quotient(rank, pairwise_differences(E), caps)
+    table, elements, strategy = _separating_quotient(rank, pairwise_differences(E))
     m = len(elements)
-    if m * m > caps.bireg_carrier_cap:
-        raise CoreTooLargeError(f"carrier {m}x{m} exceeds cap {caps.bireg_carrier_cap}")
     index = {p: i for i, p in enumerate(elements)}
     e_labels = [index[action_permutation(table, x)] for x in E]
     if len(set(e_labels)) != len(e_labels):
@@ -315,18 +304,12 @@ def biregular_approximation(
                      "walks": [list(p) for p in table.images]},
         "point_labels": e_labels,
     }
-    return Certificate(spec, tuple(F), tuple(E), Fraction(0), approx, witness, provenance)
+    return Certificate(BiregularAction(rank), tuple(F), tuple(E), Fraction(0), approx, witness,
+                       provenance)
 
 
 # ---------------------------------------------------------------------------
 # the general pipeline
-
-
-def _checked_points(spec: ActionSpec, E: Sequence[Word]) -> list[Word]:
-    points = [canonical_point(spec, x) for x in E]
-    if len({p.letters for p in points}) != len(points):
-        raise ValueError("duplicate points in E")
-    return points
 
 
 def _stage(name: str):
@@ -348,7 +331,7 @@ def approximate(
     E: Sequence[Word],
     epsilon: Fraction = DEFAULT_EPSILON,
     strategy: str = "core",
-    caps: Caps = Caps(),
+    core_cap: int = DEFAULT_CORE_CAP,
 ) -> Certificate:
     """Build an exact certificate for (spec, F, E).
 
@@ -363,17 +346,19 @@ def approximate(
     for g in F:
         check_element(spec, g)
     with _stage("canonicalize"):
-        points = _checked_points(spec, E)
+        points = [canonical_point(spec, x) for x in E]
+        if len({p.letters for p in points}) != len(points):
+            raise ValueError("duplicate points in E")
 
     if isinstance(spec, RestrictedAction):
         with _stage("restrict"):
             inner_F = [apply_images(spec.images, g) for g in F]
-            inner = approximate(spec.inner, inner_F, points, epsilon, strategy, caps)
+            inner = approximate(spec.inner, inner_F, points, epsilon, strategy, core_cap)
             return restrict_certificate(inner, spec.images, list(F))
 
     if isinstance(spec, BiregularAction):
         with _stage("biregular"):
-            return biregular_approximation(spec.rank, F, points, epsilon, caps)
+            return biregular_approximation(spec.rank, F, points, epsilon)
 
     with _stage("separation_targets"):
         t_avoid, t_contain = separation_targets(spec, list(F), points)
@@ -390,7 +375,7 @@ def approximate(
         if len(set(labels)) != len(labels):
             raise AssertionError("separating table produced a label collision")
     with _stage("finite_index_witness"):
-        approx, witness = finite_index_witness(table, labels, strategy, caps)
+        approx, witness = finite_index_witness(table, labels, strategy, core_cap)
     provenance = {
         "builder": "exact-homomorphism",
         "strategy": strategy,
@@ -450,20 +435,6 @@ class CertificateFormatError(ValueError):
     """Schema-level problem in a certificate file; names the failing field."""
 
 
-def _label_to_json(l):
-    if isinstance(l, tuple):
-        return [_label_to_json(x) for x in l]
-    return l
-
-
-def _label_from_json(l, where: str):
-    if isinstance(l, list):
-        _expect(len(l) == 2, where, f"tagged label {l!r} must be a pair")
-        return tuple(_label_from_json(x, where) for x in l)
-    _expect(type(l) is int, where, f"label {l!r} must be an integer or pair")
-    return l
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "action": action_to_json(cert.action),
@@ -473,7 +444,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "carrier_size": cert.approx.size,
         "generator_images": [list(img) for img in cert.approx.images],
         "S": list(cert.witness.s_points),
-        "B": [_label_to_json(l) for l in cert.witness.b_labels],
+        "B": list(cert.witness.b_labels),
         "pi": [list(row) for row in cert.witness.pi],
         "provenance": dict(cert.provenance),
     }
@@ -519,6 +490,11 @@ def _expect_each_below(values, bound: int, where: str, what: str) -> None:
             raise CertificateFormatError(f"{where}: {what.format(x)}")
 
 
+# every field but the optional, free-form provenance
+CERTIFICATE_FIELDS = ("action", "F", "E", "epsilon", "carrier_size",
+                      "generator_images", "S", "B", "pi")
+
+
 def certificate_from_dict(data: dict) -> Certificate:
     """Validate the JSON form field by field and rebuild the Certificate.
 
@@ -528,9 +504,10 @@ def certificate_from_dict(data: dict) -> Certificate:
     format one, and is left to the verifier.
     """
     _expect(isinstance(data, dict), "certificate", "top level must be an object")
-    for key in ("action", "F", "E", "epsilon", "carrier_size",
-                "generator_images", "S", "B", "pi"):
+    for key in CERTIFICATE_FIELDS:
         _expect(key in data, key, "missing field")
+    for key in data:
+        _expect(key in CERTIFICATE_FIELDS or key == "provenance", key, "unknown field")
     try:
         action = action_from_json(data["action"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -574,8 +551,10 @@ def certificate_from_dict(data: dict) -> Certificate:
     _expect(sorted(set(s_points)) == s_points, "S", "must be strictly increasing")
     b_labels = data["B"]
     _expect(isinstance(b_labels, list), "B", "must be a list")
-    canon_labels = [_label_from_json(l, "B") for l in b_labels]
-    _expect(len(set(canon_labels)) == len(canon_labels), "B", "labels must be distinct")
+    for l in b_labels:
+        if type(l) is not int:
+            raise CertificateFormatError(f"B: label {reprlib.repr(l)} must be an integer")
+    _expect(len(set(b_labels)) == len(b_labels), "B", "labels must be distinct")
     pi = data["pi"]
     _expect(isinstance(pi, list) and len(pi) == len(s_points),
             "pi", f"expected {len(s_points)} rows")
@@ -587,7 +566,7 @@ def certificate_from_dict(data: dict) -> Certificate:
                     f"pi[{i}]", f"expected {len(E)} entries")
             _expect_each_below(row, len(b_labels), f"pi[{i}]", "entry {!r} is not a B index")
     approx = SoficApproximation(group_kind, rank, size, tuple(map(tuple, imgs)))
-    witness = OrbitWitness(tuple(s_points), tuple(canon_labels), tuple(map(tuple, pi)))
+    witness = OrbitWitness(tuple(s_points), tuple(b_labels), tuple(map(tuple, pi)))
     provenance = data.get("provenance", {})
     _expect(isinstance(provenance, dict), "provenance", "must be an object")
     return Certificate(action, F, E, epsilon, approx, witness, provenance)

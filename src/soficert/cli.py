@@ -17,7 +17,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import (
@@ -29,7 +29,6 @@ from .actions import (
     point_rank,
 )
 from .builder import (
-    Caps,
     Certificate,
     CertificateFormatError,
     StageError,
@@ -38,7 +37,7 @@ from .builder import (
     epsilon_from_json,
     write_certificate,
 )
-from .stallings import InseparableError, core_graph, hall_completion
+from .stallings import DEFAULT_CORE_CAP, InseparableError, core_graph, hall_completion
 from .verifier import (
     MUTATION_KINDS,
     brute_force_witness,
@@ -51,21 +50,28 @@ from .words import Word, parse_word
 
 @dataclass(frozen=True)
 class JobConfig:
-    """A build job: action, F, E, tolerance, strategy, caps, output path."""
+    """A build job: action, F, E, tolerance, strategy, core cap, output path."""
 
     action: ActionSpec
     F: tuple[GroupElement, ...]
     E: tuple[Word, ...]
     epsilon: Fraction
     strategy: str
-    caps: Caps
+    core_cap: int
     out: str | None
-    seed: int
+
+
+JOB_FIELDS = ("action", "F", "E", "epsilon", "strategy", "caps", "out")
 
 
 def job_from_dict(data: dict) -> JobConfig:
+    """Parse a job config; a key outside ``JOB_FIELDS``, or a cap other
+    than ``core_cap``, raises ValueError starting with the key."""
     if not isinstance(data, dict):
         raise ValueError("job config must be a JSON object")
+    for key in data:
+        if key not in JOB_FIELDS:
+            raise ValueError(f"{key}: unknown field; a job config has {', '.join(JOB_FIELDS)}")
     for key in ("action", "F", "E"):
         if key not in data:
             raise ValueError(f"job config missing {key!r}")
@@ -80,21 +86,19 @@ def job_from_dict(data: dict) -> JobConfig:
     strategy = data.get("strategy", "core")
     if strategy not in ("core", "literal"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    caps_data = data.get("caps", {})
-    if not isinstance(caps_data, dict):
+    caps = data.get("caps", {})
+    if not isinstance(caps, dict):
         raise ValueError("caps must be an object")
-    caps = Caps(**caps_data)
-    for cap in fields(Caps):
-        value = getattr(caps, cap.name)
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise ValueError(f"cap {cap.name} must be a positive integer")
+    for key in caps:
+        if key != "core_cap":
+            raise ValueError(f"{key}: unknown cap; the only cap is core_cap")
+    core_cap = caps.get("core_cap", DEFAULT_CORE_CAP)
+    if type(core_cap) is not int or core_cap <= 0:
+        raise ValueError("cap core_cap must be a positive integer")
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"out must be a path string, not {out!r}")
-    seed = data.get("seed", 0)
-    if type(seed) is not int:
-        raise ValueError("seed must be an integer")
-    return JobConfig(action, F, E, epsilon, strategy, caps, out, seed)
+    return JobConfig(action, F, E, epsilon, strategy, core_cap, out)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -133,7 +137,7 @@ def cmd_approx(args) -> int:
     strategy = args.strategy or job.strategy
     out = args.out or job.out
     try:
-        cert = approximate(job.action, job.F, job.E, job.epsilon, strategy, job.caps)
+        cert = approximate(job.action, job.F, job.E, job.epsilon, strategy, job.core_cap)
     except StageError as exc:
         print(f"error [{exc.stage}]: {exc.cause}", file=sys.stderr)
         return 2
@@ -230,7 +234,7 @@ def cmd_conj_demo(args) -> int:
 # harnesses
 
 
-def oracle_cases(caps: Caps = Caps()) -> list[Certificate]:
+def oracle_cases() -> list[Certificate]:
     """Deterministic pool of small built certificates (|A| <= 8, |E| <= 3,
     |B| <= 5) for the brute-force oracle to cross-examine."""
     jobs: list[tuple[CosetAction, list[Word], list[Word]]] = []
@@ -256,7 +260,7 @@ def oracle_cases(caps: Caps = Caps()) -> list[Certificate]:
             jobs.append((spec, f2, [w2(t) for t in texts]))
     out = []
     for spec, F, E in jobs:
-        cert = approximate(spec, F, E, caps=caps)
+        cert = approximate(spec, F, E)
         if cert.approx.size <= 8 and len(cert.witness.b_labels) <= 5:
             out.append(cert)
     return out

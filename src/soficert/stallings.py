@@ -44,7 +44,7 @@ class InseparableError(ValueError):
 
 
 class CoreTooLargeError(RuntimeError):
-    """The image permutation group exceeded the configured size cap."""
+    """A carrier or its permutation group would exceed a size cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +66,9 @@ class StallingsGraph:
     def step(self, vertex: int, letter: int) -> int | None:
         return self._steps.get((vertex, letter))
 
-    def trace(self, w: Word, start: int = 0) -> int | None:
-        """Endpoint of reading ``w`` from ``start``; None if some edge is missing."""
-        state = start
+    def trace(self, w: Word) -> int | None:
+        """Endpoint of reading ``w`` from the basepoint; None if some edge is missing."""
+        state = 0
         for l in w.letters:
             nxt = self.step(state, l)
             if nxt is None:
@@ -246,8 +246,9 @@ class CosetTable:
             return self.images[letter - 1][state]
         return self.inverses[-letter - 1][state]
 
-    def walk(self, w: Word, start: int = 0) -> int:
-        state = start
+    def walk(self, w: Word) -> int:
+        """The coset reached by reading ``w`` from coset 0."""
+        state = 0
         for l in w.letters:
             state = self.step(state, l)
         return state

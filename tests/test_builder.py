@@ -13,7 +13,7 @@ from soficert.actions import (
     separation_targets,
 )
 from soficert.builder import (
-    Caps,
+    LITERAL_DEGREE_MAX,
     Certificate,
     CertificateFormatError,
     OrbitWitness,
@@ -31,6 +31,7 @@ from soficert.builder import (
 )
 from soficert.permutations import compose, inverse
 from soficert.stallings import (
+    CoreTooLargeError,
     CosetTable,
     action_permutation,
     core_graph,
@@ -124,9 +125,9 @@ def test_literal_pi_is_inverse_permutation():
 
 def test_literal_degree_cap():
     table = hall_completion(core_graph([], 2), [w2(t) for t in ("a", "b", "ab", "ba", "aab", "abb")])
-    assert table.size > 6
-    with pytest.raises(Exception):
-        finite_index_witness(table, [0], "literal", Caps(literal_degree_max=6))
+    assert table.size > LITERAL_DEGREE_MAX == 6
+    with pytest.raises(CoreTooLargeError, match="capped at degree 6"):
+        finite_index_witness(table, [0], "literal")
 
 
 def test_orbit_witness_seeds_each_orbit_once():
@@ -337,12 +338,10 @@ def test_round_trip_bytes(tmp_path):
     write_certificate(again, str(path))
     assert path.read_text() == text
     assert json.loads(text)["epsilon"] == "0"
-    # the builder writes integer labels; [tag, label] pairs still load
+    # B holds integers only; a [tag, label] pair is refused
     tagged = {**json.loads(text), "B": [[0, 0], [0, 1], [1, 0]]}
-    cert = certificate_from_dict(tagged)
-    assert cert.witness.b_labels == ((0, 0), (0, 1), (1, 0))
-    assert verify_certificate(cert).accepted
-    assert certificate_to_dict(cert)["B"] == tagged["B"]
+    with pytest.raises(CertificateFormatError, match=r"^B: label \[0, 0\] must be an integer$"):
+        certificate_from_dict(tagged)
 
 
 def test_schema_field_errors():

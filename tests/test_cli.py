@@ -31,6 +31,7 @@ def test_job_from_dict_defaults():
     job = job_from_dict(COSET_JOB)
     assert job.strategy == "core"
     assert job.epsilon == 0
+    assert job.core_cap == 10**6
     assert [x.text() for x in job.E] == ["1", "b"]
 
 
@@ -118,6 +119,18 @@ def test_approx_rejects_epsilon_not_integer_or_ratio_and_bool_seed(tmp_path, cap
     assert capsys.readouterr().err.startswith(f"error [config]: {next(iter(patch))}")
 
 
+@pytest.mark.parametrize("patch, key", [
+    ({"stratgy": "literal"}, "stratgy"),
+    ({"seed": 0}, "seed"),
+    ({"caps": {"quotient_samples": 10}}, "quotient_samples"),
+    ({"caps": {"core_cap": 10, "literal_degree_max": 2}}, "literal_degree_max"),
+])
+def test_approx_refuses_unknown_config_keys(tmp_path, capsys, patch, key):
+    # a job config has action, F, E, epsilon, strategy, caps.core_cap and out
+    assert main(["approx", "--config", write_job(tmp_path, {**COSET_JOB, **patch})]) == 2
+    assert capsys.readouterr().err.startswith(f"error [config]: {key}: unknown ")
+
+
 def test_job_epsilon_is_an_integer_or_ratio_string():
     for value, expected in [(0, 0), (1, 1), ("0", 0), ("1/10", Fraction(1, 10))]:
         assert job_from_dict({**COSET_JOB, "epsilon": value}).epsilon == expected
@@ -126,7 +139,7 @@ def test_job_epsilon_is_an_integer_or_ratio_string():
 def test_approx_stage_error_names_the_stage(tmp_path, capsys):
     cfg = write_job(
         tmp_path,
-        {**COSET_JOB, "strategy": "literal", "caps": {"literal_degree_max": 2}},
+        {**COSET_JOB, "caps": {"core_cap": 1}},
     )
     assert main(["approx", "--config", cfg]) == 2
     assert "error [finite_index_witness]" in capsys.readouterr().err
@@ -233,8 +246,20 @@ def test_verify_rejects_bools_and_non_ratio_epsilon_as_schema_errors(
     assert capsys.readouterr().err.startswith(f"error [schema]: {field}")
 
 
+def test_provenance_is_optional_and_free_form(tmp_path):
+    data = json.loads(open(built_cert_path(tmp_path)).read())
+    path = tmp_path / "cert.json"
+    data["provenance"] = {"anything": [1, {"goes": True}]}
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 0
+    del data["provenance"]
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 0
+
+
 # a word is a JSON string, a word list a JSON list, a rank an int that is
-# not a bool, an action an object with every field of its kind
+# not a bool, an action an object with every field of its kind and no
+# other, and the top level has no field the format does not name
 WORD_SCHEMA_CASES = {
     "F-string": lambda d: d.update(F="ab"),
     "F-nested-list": lambda d: d.update(F=[["a", "b"]]),
@@ -246,6 +271,8 @@ WORD_SCHEMA_CASES = {
     "images-empty": lambda d: d.update(
         action={"kind": "restricted", "inner": {"kind": "biregular", "rank": 2}, "images": []},
         F=[], E=["1"]),
+    "action-key": lambda d: d["action"].update(junk=3),
+    "top-level-key": lambda d: d.update(extra=[1]),
 }
 WORD_SCHEMA_ERRORS = {
     "F-string": ("F", "must be a list"),
@@ -256,6 +283,8 @@ WORD_SCHEMA_ERRORS = {
     "action-list": ("action", "action must be an object"),
     "subgroup-missing": ("action", "missing field 'subgroup'"),
     "images-empty": ("action", "restricted action needs 1 to 26 images, got 0"),
+    "action-key": ("action", "unknown field 'junk' in a coset action"),
+    "top-level-key": ("extra", "unknown field"),
 }
 
 
@@ -332,6 +361,21 @@ def test_nesting_near_the_json_limit_exits_2_without_traceback(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error [{tag}]: ") and "Traceback" not in proc.stderr
         assert "nest deeper than 64" in proc.stderr
+
+
+@pytest.mark.parametrize("depth", [1, 500])
+def test_pair_label_exits_2_without_traceback(tmp_path, depth):
+    # B holds integers only; a [tag, label] pair nested ``depth`` levels
+    # deep is spliced in as text
+    data = json.loads(open(built_cert_path(tmp_path)).read())
+    data["B"] = "LABELS"
+    label = "[0, " * depth + "0" + "]" * depth
+    path = tmp_path / "deep-label.json"
+    path.write_text(json.dumps(data).replace('"LABELS"', f"[{label}, 1, 2]"))
+    proc = run_python("-m", "soficert.cli", "verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error [schema]: B: label [0, ")
+    assert "must be an integer" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_epsilon_override(tmp_path, capsys):

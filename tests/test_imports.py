@@ -1,7 +1,8 @@
 """Import hygiene of the package, read off each module's syntax tree:
 every imported name is used, every import is the standard library or
-soficert itself, and every top-level function and class, and every
-method that is not a dunder, is used by the package or its scripts."""
+soficert itself, every top-level function and class, and every method
+that is not a dunder, is used by the package or its scripts, and every
+parameter with a default is passed by some call in them."""
 
 import ast
 import sys
@@ -97,3 +98,60 @@ def test_every_method_is_referenced():
                     and not (node.name.startswith("__") and node.name.endswith("__"))
                     and not used(node, units)]
     assert unreferenced == []
+
+
+# run as ``main()`` from the console entry point; tests and the bench pass argv
+UNPASSED_DEFAULTS_ALLOWED = {"cli.main.argv"}
+
+
+def functions(node, prefix, in_class=False):
+    """(qualified name, function node, whether it is a method) of every
+    function under ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield f"{prefix}.{child.name}", child, in_class
+            yield from functions(child, f"{prefix}.{child.name}")
+        elif isinstance(child, ast.ClassDef):
+            yield from functions(child, f"{prefix}.{child.name}", in_class=True)
+        else:
+            yield from functions(child, prefix, in_class)
+
+
+def defaulted_parameters(node, in_class):
+    """(name, index among a call's positional arguments, or None) of every
+    parameter of ``node`` with a default; a method's calls do not pass
+    ``self`` positionally."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first - (1 if in_class else 0)):
+        yield arg.arg, i
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def passes(call, name, index):
+    """Whether ``call`` passes the parameter ``name`` at ``index``; a
+    ``*args`` or ``**kwargs`` in the call passes every parameter."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or index is not None and len(call.args) > index)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call overrides is a setting nobody uses; a call
+    # matches a function by its name, bare or as an attribute
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES + SCRIPTS if p.name != "__init__.py"}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unpassed = [f"{qualname}.{name}"
+                for stem, tree in trees.items()
+                for qualname, node, in_class in functions(tree, stem)
+                for name, index in defaulted_parameters(node, in_class)
+                if not any(passes(call, name, index) for call in calls.get(node.name, []))]
+    assert sorted(set(unpassed) - UNPASSED_DEFAULTS_ALLOWED) == []

@@ -8,7 +8,7 @@ from hypothesis import given
 import soficert.permutations as permutations
 import soficert.stallings as stallings
 from soficert.actions import CosetAction, canonical_point, separation_targets
-from soficert.builder import Caps, StageError, approximate
+from soficert.builder import StageError, approximate
 from soficert.permutations import compose, identity_perm, order_bound
 from soficert.stallings import CoreTooLargeError, hall_completion, image_group
 from soficert.words import parse_word
@@ -79,9 +79,9 @@ def test_cap_boundary_builds_at_order_and_refuses_below():
 
     w = lambda t: parse_word(t, rank)
     job = (CosetAction(rank, (w("aba"),)), [w(t) for t in F], [w(t) for t in E])
-    assert approximate(*job, caps=Caps(core_cap=order)).approx.size == order
+    assert approximate(*job, core_cap=order).approx.size == order
     with pytest.raises(StageError) as info:
-        approximate(*job, caps=Caps(core_cap=order - 1))
+        approximate(*job, core_cap=order - 1)
     assert info.value.stage == "finite_index_witness"
 
 

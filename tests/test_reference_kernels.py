@@ -4,7 +4,8 @@ per-entry loops they replaced.
 The previous ``check_multiplicative``, ``check_orbit_witness`` and
 ``certificate_from_dict`` are kept below verbatim as references, with
 the previous ``compose``, ``hamming`` and phi evaluation they called,
-less the whole-word image override that phi evaluation no longer has.
+less the whole-word image override that phi evaluation no longer has,
+and with B labels checked as integers, which is all B may hold.
 On built certificates and their mutants the two must agree field for
 field: every message and its order, ``triples_checked``, the defect,
 and the text of every ``CertificateFormatError``.
@@ -39,7 +40,6 @@ from soficert.builder import (
     OrbitWitness,
     SoficApproximation,
     _expect,
-    _label_from_json,
     approximate,
     certificate_from_dict,
     certificate_to_dict,
@@ -192,8 +192,9 @@ def _reference_certificate_from_dict(data):
     _expect(sorted(set(s_points)) == s_points, "S", "must be strictly increasing")
     b_labels = data["B"]
     _expect(isinstance(b_labels, list), "B", "must be a list")
-    canon_labels = [_label_from_json(l, "B") for l in b_labels]
-    _expect(len(set(canon_labels)) == len(canon_labels), "B", "labels must be distinct")
+    for l in b_labels:
+        _expect(type(l) is int, "B", f"label {l!r} must be an integer")
+    _expect(len(set(b_labels)) == len(b_labels), "B", "labels must be distinct")
     pi = data["pi"]
     _expect(isinstance(pi, list) and len(pi) == len(s_points),
             "pi", f"expected {len(s_points)} rows")
@@ -204,7 +205,7 @@ def _reference_certificate_from_dict(data):
             _expect(type(v) is int and 0 <= v < len(b_labels),
                     f"pi[{i}]", f"entry {v!r} is not a B index")
     approx = SoficApproximation(group_kind, rank, size, tuple(tuple(a) for a in imgs))
-    witness = OrbitWitness(tuple(s_points), tuple(canon_labels), tuple(tuple(r) for r in pi))
+    witness = OrbitWitness(tuple(s_points), tuple(b_labels), tuple(tuple(r) for r in pi))
     provenance = data.get("provenance", {})
     _expect(isinstance(provenance, dict), "provenance", "must be an object")
     return Certificate(action, F, E, epsilon, approx, witness, provenance)
