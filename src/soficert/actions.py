@@ -16,6 +16,7 @@ Three action kinds are supported:
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
@@ -81,11 +82,16 @@ def acting_rank(spec: ActionSpec) -> int:
     return spec.rank
 
 
-def point_rank(spec: ActionSpec) -> int:
-    """Rank of the free group whose words name the action's points."""
+def base_action(spec: ActionSpec) -> ActionSpec:
+    """The coset or biregular action under any restrictions."""
     while isinstance(spec, RestrictedAction):
         spec = spec.inner
-    return spec.rank
+    return spec
+
+
+def point_rank(spec: ActionSpec) -> int:
+    """Rank of the free group whose words name the action's points."""
+    return base_action(spec).rank
 
 
 def check_element(spec: ActionSpec, g: GroupElement) -> None:
@@ -255,10 +261,10 @@ _ACTION_FIELDS = {
 def action_from_json(data: dict, depth: int = 0) -> ActionSpec:
     """Parse an action; ``depth`` counts the restricted levels around it."""
     if not isinstance(data, dict):
-        raise TypeError(f"action must be an object, not {data!r}")
+        raise TypeError(f"action must be an object, not {reprlib.repr(data)}")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _ACTION_FIELDS:
-        raise ValueError(f"unknown action kind {kind!r}")
+        raise ValueError(f"unknown action kind {reprlib.repr(kind)}")
     for key in data:
         if key not in _ACTION_FIELDS[kind]:
             raise ValueError(f"unknown field {key!r} in a {kind} action")
@@ -284,7 +290,7 @@ def _json_field(data: dict, key: str, kind: type):
         raise ValueError(f"missing field {key!r}")
     value = data[key]
     if type(value) is not kind:
-        raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, not {value!r}")
+        raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, not {reprlib.repr(value)}")
     return value
 
 
@@ -292,6 +298,6 @@ def parse_element(spec: ActionSpec, data) -> GroupElement:
     """Parse a group element of ``spec``'s acting group from its JSON form."""
     if isinstance(spec, BiregularAction):
         if not (isinstance(data, (list, tuple)) and len(data) == 2):
-            raise ValueError(f"expected a word pair, got {data!r}")
+            raise ValueError(f"expected a word pair, got {reprlib.repr(data)}")
         return (parse_word(data[0], spec.rank), parse_word(data[1], spec.rank))
     return parse_word(data, acting_rank(spec))

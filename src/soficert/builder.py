@@ -245,23 +245,40 @@ def _separating_quotient(
     except CoreTooLargeError:
         pass
 
-    def separates(table: CosetTable) -> bool:
-        unmoved = identity_perm(table.size)
-        return all(action_permutation(table, w) != unmoved for w in targets)
+    # A target w survives when its walk, a product of the candidate's
+    # permutations and their inverses, moves some point (w acts by the
+    # walk of w^-1, the inverse permutation).  Every target is tested
+    # before a candidate is accepted, so moving the one that rejected the
+    # last candidate to the front changes only the cost of the search.
+    walks = [[l - 1 if l > 0 else rank - l - 1 for l in w.letters] for w in targets]
+    inverse_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def separates(images: tuple[tuple[int, ...], ...]) -> bool:
+        steps = images + tuple(inverse_of[p] for p in images)
+        unmoved = identity_perm(len(images[0]))
+        for k, walk in enumerate(walks):
+            perm = unmoved
+            for i in walk:
+                perm = compose(steps[i], perm)
+            if perm == unmoved:
+                walks.insert(0, walks.pop(k))
+                return False
+        return True
 
     for degree in range(2, 4):
         perms = sorted(itertools.permutations(range(degree)))
+        inverse_of.update(zip(perms, map(inverse, perms)))
         for combo in itertools.product(perms, repeat=rank):
-            table = CosetTable(rank, degree, combo)
-            if separates(table):
-                return quotient(table, "quotient-search")
+            if separates(combo):
+                return quotient(CosetTable(rank, degree, combo), "quotient-search")
     rng = random.Random(0)
     for degree in range(4, QUOTIENT_DEGREE_MAX + 1):
         perms = sorted(itertools.permutations(range(degree)))
+        inverse_of.update(zip(perms, map(inverse, perms)))
         for _ in range(QUOTIENT_SAMPLES):
-            table = CosetTable(rank, degree, tuple(rng.choice(perms) for _ in range(rank)))
-            if separates(table):
-                return quotient(table, "quotient-search")
+            combo = tuple(rng.choice(perms) for _ in range(rank))
+            if separates(combo):
+                return quotient(CosetTable(rank, degree, combo), "quotient-search")
     raise CoreTooLargeError(
         "no small quotient separates "
         + ", ".join(w.text() for w in targets)
@@ -451,7 +468,13 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def write_certificate(cert: Certificate, path: str) -> None:
-    payload = json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"
+    """Write one top-level key per line, in sorted order, each value in
+    compact JSON with sorted keys.  ``json.dumps`` runs CPython's C
+    encoder only without ``indent``; readers take any layout."""
+    data = certificate_to_dict(cert)
+    lines = (f"{json.dumps(key)}: {json.dumps(data[key], separators=(',', ':'), sort_keys=True)}"
+             for key in sorted(data))
+    payload = "{\n" + ",\n".join(lines) + "\n}\n"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(payload)
@@ -468,7 +491,9 @@ def epsilon_from_json(value) -> Fraction:
     and decimal or exponent strings raise ValueError."""
     if type(value) is int and value >= 0 or isinstance(value, str) and _EPSILON.fullmatch(value):
         return Fraction(value)
-    raise ValueError(f"epsilon must be a nonnegative integer or 'p/q' string, not {value!r}")
+    raise ValueError(
+        f"epsilon must be a nonnegative integer or 'p/q' string, not {reprlib.repr(value)}"
+    )
 
 
 def _expect(cond: bool, where: str, what: str) -> None:
@@ -484,10 +509,11 @@ def _indices_below(values, bound: int) -> bool:
 
 def _expect_each_below(values, bound: int, where: str, what: str) -> None:
     """Entry by entry, raise at the first one that is not an int in
-    range(bound); ``what`` is formatted with that entry."""
+    range(bound); ``what`` is formatted with that entry, shortened by
+    ``reprlib`` so a deeply nested entry gives a one-line message."""
     for x in values:
         if not (type(x) is int and 0 <= x < bound):
-            raise CertificateFormatError(f"{where}: {what.format(x)}")
+            raise CertificateFormatError(f"{where}: {what.format(reprlib.repr(x))}")
 
 
 # every field but the optional, free-form provenance
@@ -544,7 +570,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         _expect(isinstance(arr, list) and len(arr) == size,
                 f"generator_images[{i}]", f"expected length {size}")
         if not _indices_below(arr, size):
-            _expect_each_below(arr, size, f"generator_images[{i}]", "entry {!r} out of range")
+            _expect_each_below(arr, size, f"generator_images[{i}]", "entry {} out of range")
     s_points = data["S"]
     _expect(isinstance(s_points, list), "S", "must be a list")
     _expect(_indices_below(s_points, size), "S", "entries must be carrier indices")
@@ -564,7 +590,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         for i, row in enumerate(pi):
             _expect(isinstance(row, list) and len(row) == len(E),
                     f"pi[{i}]", f"expected {len(E)} entries")
-            _expect_each_below(row, len(b_labels), f"pi[{i}]", "entry {!r} is not a B index")
+            _expect_each_below(row, len(b_labels), f"pi[{i}]", "entry {} is not a B index")
     approx = SoficApproximation(group_kind, rank, size, tuple(map(tuple, imgs)))
     witness = OrbitWitness(tuple(s_points), tuple(b_labels), tuple(map(tuple, pi)))
     provenance = data.get("provenance", {})

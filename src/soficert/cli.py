@@ -7,8 +7,8 @@ conjugation-action certificate), fuzz (mutation and oracle harnesses).
 
 Exit codes: 0 accept/success, 1 reject, 2 malformed input or pipeline
 error.  All numerics in configs and outputs are integers or "p/q"
-rational strings; certificate files are pretty-printed with sorted keys
-so identical jobs produce byte-identical files.
+rational strings; certificate files hold one sorted top-level key per
+line with compact values, so identical jobs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,15 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import (
     ActionSpec,
+    BiregularAction,
     CosetAction,
     GroupElement,
+    RestrictedAction,
     action_from_json,
+    base_action,
     parse_element,
     point_rank,
 )
@@ -64,9 +68,18 @@ class JobConfig:
 JOB_FIELDS = ("action", "F", "E", "epsilon", "strategy", "caps", "out")
 
 
+def _refuse_for_biregular(action: ActionSpec, key: str) -> None:
+    """A biregular carrier comes from a quotient search with fixed bounds,
+    so ``strategy`` and ``core_cap`` would be silently ignored."""
+    if isinstance(base_action(action), BiregularAction):
+        raise ValueError(f"{key}: does not apply to a biregular action, "
+                         "whose quotient search has fixed bounds")
+
+
 def job_from_dict(data: dict) -> JobConfig:
-    """Parse a job config; a key outside ``JOB_FIELDS``, or a cap other
-    than ``core_cap``, raises ValueError starting with the key."""
+    """Parse a job config; a key outside ``JOB_FIELDS``, a cap other
+    than ``core_cap``, or ``strategy`` or ``caps`` over a biregular
+    action raises ValueError starting with the key."""
     if not isinstance(data, dict):
         raise ValueError("job config must be a JSON object")
     for key in data:
@@ -77,15 +90,18 @@ def job_from_dict(data: dict) -> JobConfig:
             raise ValueError(f"job config missing {key!r}")
     for key in ("F", "E"):
         if not isinstance(data[key], list):
-            raise ValueError(f"{key} must be a list, not {data[key]!r}")
+            raise ValueError(f"{key} must be a list, not {reprlib.repr(data[key])}")
     action = action_from_json(data["action"])
+    for key in ("strategy", "caps"):
+        if key in data:
+            _refuse_for_biregular(action, key)
     F = tuple(parse_element(action, item) for item in data["F"])
     rank = point_rank(action)
     E = tuple(parse_word(t, rank) for t in data["E"])
     epsilon = epsilon_from_json(data.get("epsilon", 0))
     strategy = data.get("strategy", "core")
     if strategy not in ("core", "literal"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ValueError(f"unknown strategy {reprlib.repr(strategy)}")
     caps = data.get("caps", {})
     if not isinstance(caps, dict):
         raise ValueError("caps must be an object")
@@ -97,7 +113,7 @@ def job_from_dict(data: dict) -> JobConfig:
         raise ValueError("cap core_cap must be a positive integer")
     out = data.get("out")
     if out is not None and not isinstance(out, str):
-        raise ValueError(f"out must be a path string, not {out!r}")
+        raise ValueError(f"out must be a path string, not {reprlib.repr(out)}")
     return JobConfig(action, F, E, epsilon, strategy, core_cap, out)
 
 
@@ -131,6 +147,8 @@ def cmd_approx(args) -> int:
         with open(args.config) as fh:
             data = json.load(fh)
         job = job_from_dict(data)
+        if args.strategy:
+            _refuse_for_biregular(job.action, "--strategy")
     except (OSError, json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
@@ -200,8 +218,6 @@ def cmd_subgroup(args) -> int:
 
 
 def cmd_conj_demo(args) -> int:
-    from .actions import BiregularAction, RestrictedAction
-
     try:
         F = _word_list(args.f, args.rank)
         E = _word_list(args.e, args.rank)

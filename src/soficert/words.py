@@ -9,6 +9,7 @@ constructors below enforce this.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,7 +74,7 @@ def free_reduce(letters: Iterable[int], rank: int) -> Word:
 def parse_word(text: str, rank: int) -> Word:
     """Parse ``a-z``/``A-Z`` text; ``"1"`` and ``""`` denote the identity."""
     if not isinstance(text, str):
-        raise TypeError(f"word {text!r} must be a string")
+        raise TypeError(f"word {reprlib.repr(text)} must be a string")
     if text in ("", "1"):
         return identity(rank)
     letters = []
@@ -83,7 +84,7 @@ def parse_word(text: str, rank: int) -> Word:
         elif "A" <= ch <= "Z":
             letters.append(-(ord(ch) - ord("A") + 1))
         else:
-            raise ValueError(f"invalid letter {ch!r} in word {text!r}")
+            raise ValueError(f"invalid letter {ch!r} in word {reprlib.repr(text)}")
     return free_reduce(letters, rank)
 
 

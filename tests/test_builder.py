@@ -10,6 +10,7 @@ from soficert.actions import (
     CosetAction,
     RestrictedAction,
     canonical_point,
+    pairwise_differences,
     separation_targets,
 )
 from soficert.builder import (
@@ -20,6 +21,7 @@ from soficert.builder import (
     SeparatorInvalidError,
     SoficApproximation,
     StageError,
+    _separating_quotient,
     approximate,
     certificate_from_dict,
     certificate_to_dict,
@@ -212,6 +214,29 @@ def test_biregular_nonabelian_search_route():
     assert verify_certificate(cert).accepted
 
 
+def radius_ball(radius):
+    """Reduced words of length <= radius, layer by layer, letters a b A B."""
+    words, layer = [w2("")], [()]
+    for _ in range(radius):
+        layer = [w + (l,) for w in layer for l in (1, 2, -1, -2) if not w or w[-1] != -l]
+        words += [Word(w, 2) for w in layer]
+    return words
+
+
+@pytest.mark.parametrize("points, count, degree, walks, order", [
+    (radius_ball(2), 160, 5, ((4, 2, 3, 0, 1), (1, 0, 4, 2, 3)), 120),
+    ([w2(t) for t in ("", "a", "b", "ab", "ba")], 16, 3, ((0, 2, 1), (1, 0, 2)), 6),
+], ids=["radius-2-ball", "biregular-e5"])
+def test_separating_quotient_frozen(points, count, degree, walks, order):
+    # the degree, walks, order and route the search found when it still
+    # tested each candidate through a CosetTable and action_permutation
+    targets = pairwise_differences(points)
+    assert len(targets) == count
+    table, elements, route = _separating_quotient(2, targets)
+    assert (table.size, table.images, len(elements), route) == (degree, walks, order, "quotient-search")
+    assert all(action_permutation(table, w) != tuple(range(degree)) for w in targets)
+
+
 def test_biregular_deterministic():
     a = certificate_to_dict(build(BiregularAction(2), [], ["", "a", "b", "baB"]))
     b = certificate_to_dict(build(BiregularAction(2), [], ["", "a", "b", "baB"]))
@@ -342,6 +367,22 @@ def test_round_trip_bytes(tmp_path):
     tagged = {**json.loads(text), "B": [[0, 0], [0, 1], [1, 0]]}
     with pytest.raises(CertificateFormatError, match=r"^B: label \[0, 0\] must be an integer$"):
         certificate_from_dict(tagged)
+
+
+def test_written_layout_is_one_key_per_line(tmp_path):
+    cert = approximate(BiregularAction(2), [], [w2(t) for t in ("", "a", "b")])
+    path = tmp_path / "cert.json"
+    write_certificate(cert, str(path))
+    text = path.read_text()
+    assert json.loads(text) == certificate_to_dict(cert)
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    fields = [json.loads("{" + line.removesuffix(",") + "}") for line in lines[1:-1]]
+    assert [list(f) for f in fields] == [[key] for key in sorted(certificate_to_dict(cert))]
+    for line, f in zip(lines[1:-1], fields):
+        (key, value), = f.items()
+        compact = json.dumps(value, separators=(",", ":"), sort_keys=True)
+        assert line.removesuffix(",") == f"{json.dumps(key)}: {compact}"
 
 
 def test_schema_field_errors():

@@ -5,7 +5,8 @@ The previous ``check_multiplicative``, ``check_orbit_witness`` and
 ``certificate_from_dict`` are kept below verbatim as references, with
 the previous ``compose``, ``hamming`` and phi evaluation they called,
 less the whole-word image override that phi evaluation no longer has,
-and with B labels checked as integers, which is all B may hold.
+with B labels checked as integers, which is all B may hold, and with
+every outside value in a message shortened by ``reprlib``.
 On built certificates and their mutants the two must agree field for
 field: every message and its order, ``triples_checked``, the defect,
 and the text of every ``CertificateFormatError``.
@@ -13,6 +14,7 @@ and the text of every ``CertificateFormatError``.
 
 import copy
 import random
+import reprlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -184,7 +186,7 @@ def _reference_certificate_from_dict(data):
                 f"generator_images[{i}]", f"expected length {size}")
         for x in arr:
             _expect(type(x) is int and 0 <= x < size,
-                    f"generator_images[{i}]", f"entry {x!r} out of range")
+                    f"generator_images[{i}]", f"entry {reprlib.repr(x)} out of range")
     s_points = data["S"]
     _expect(isinstance(s_points, list), "S", "must be a list")
     _expect(all(type(s) is int and 0 <= s < size for s in s_points),
@@ -193,7 +195,7 @@ def _reference_certificate_from_dict(data):
     b_labels = data["B"]
     _expect(isinstance(b_labels, list), "B", "must be a list")
     for l in b_labels:
-        _expect(type(l) is int, "B", f"label {l!r} must be an integer")
+        _expect(type(l) is int, "B", f"label {reprlib.repr(l)} must be an integer")
     _expect(len(set(b_labels)) == len(b_labels), "B", "labels must be distinct")
     pi = data["pi"]
     _expect(isinstance(pi, list) and len(pi) == len(s_points),
@@ -203,7 +205,7 @@ def _reference_certificate_from_dict(data):
                 f"pi[{i}]", f"expected {len(E)} entries")
         for v in row:
             _expect(type(v) is int and 0 <= v < len(b_labels),
-                    f"pi[{i}]", f"entry {v!r} is not a B index")
+                    f"pi[{i}]", f"entry {reprlib.repr(v)} is not a B index")
     approx = SoficApproximation(group_kind, rank, size, tuple(tuple(a) for a in imgs))
     witness = OrbitWitness(tuple(s_points), tuple(b_labels), tuple(tuple(r) for r in pi))
     provenance = data.get("provenance", {})
@@ -263,12 +265,16 @@ def clause_mutant(data, rng):
     return d
 
 
+# past reprlib's depth limit, so a message shows it shortened
+DEEP = [[[[[[[[0]]]]]]]]
+
+
 def schema_mutant(data, rng):
     """A copy with one to three entries, rows or fields of the wrong type,
     shape or range (or, now and then, a valid value)."""
     d = copy.deepcopy(data)
     size, labels = d["carrier_size"], len(d["B"])
-    bad = [True, False, "0", "1", -1, 1.0, 0.5, None, [0], 10**6]
+    bad = [True, False, "0", "1", -1, 1.0, 0.5, None, [0], 10**6, DEEP]
     for _ in range(rng.randint(1, 3)):
         where = rng.randrange(7)
         arrays = [a for a in d["generator_images"] if isinstance(a, list) and a]
