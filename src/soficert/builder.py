@@ -16,6 +16,8 @@ row(phi(g)s) = row(s) . g_B^-1, keeping the columns at E's labels.
   cosets; B is the n cosets and each orbit is seeded with s^-1.
 * core — the quotient by the normal core, realized as the group Q
   generated by the coset permutations; same shape, s ranges over Q only.
+  The closure that lists Q keeps every product it forms, and phi is
+  read off its move rows.
 * biregular — G x G acting on G uses the product carrier Q x Q for a
   finite quotient Q in which the pairwise point differences survive;
   B is Q, moved by left translations and by q -> q a^-1.
@@ -31,6 +33,7 @@ range(|B|), stored in a certificate file as distinct integers.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -41,6 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .actions import (
@@ -65,6 +69,7 @@ from .stallings import (
     DEFAULT_CORE_CAP,
     CoreTooLargeError,
     CosetTable,
+    ImageGroup,
     action_permutation,
     core_graph,
     coset_of,
@@ -162,6 +167,15 @@ class Certificate:
 # the one witness routine and the constructions that feed it
 
 
+def _gather(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """x -> (x[i] for i in indices) as a tuple, built once for many x.
+    ``itemgetter`` returns a bare item for one index and cannot be built
+    from none, so those lengths get a generator expression."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda x: tuple(x[i] for i in indices)
+
+
 def orbit_witness(
     images: Sequence[Sequence[int]],
     b_images: Sequence[Sequence[int]],
@@ -177,24 +191,27 @@ def orbit_witness(
     B -> B is ``seed(t)``; the step from s to phi(g)s sets
     row(phi(g)s) = row(s) . g_B^-1, which is the equivariance identity
     itself.  A point keeps only its row's entries at ``labels``; a full
-    row lives only while its point is queued.
+    row lives only while its point is queued.  Both products are gathers
+    built before the walk.
     """
-    b_inverses = [inverse(p) for p in b_images]
+    steps = [(image, _gather(inverse(p))) for image, p in zip(images, b_images)]
+    pick = _gather(labels)
     pi: list = [None] * len(images[0])
     for t in range(len(pi)):
         if pi[t] is not None:
             continue
         row = seed(t)
-        pi[t] = compose(row, labels)
+        pi[t] = pick(row)
         queue = deque([(t, row)])
+        take, put = queue.popleft, queue.append
         while queue:
-            s, row = queue.popleft()
-            for image, b_inverse in zip(images, b_inverses):
+            s, row = take()
+            for image, move in steps:
                 u = image[s]
                 if pi[u] is None:
-                    moved = compose(row, b_inverse)
-                    pi[u] = compose(moved, labels)
-                    queue.append((u, moved))
+                    moved = move(row)
+                    pi[u] = pick(moved)
+                    put((u, moved))
     return OrbitWitness(tuple(range(len(pi))), tuple(range(len(b_images[0]))), tuple(pi))
 
 
@@ -203,30 +220,33 @@ def finite_index_witness(
 ) -> tuple[SoficApproximation, OrbitWitness]:
     """Exact approximation of the left-multiplication action on the cosets
     of ``table``, with its witness at the cosets ``labels``: B is all n
-    cosets and the row of a carrier point s is s^-1."""
+    cosets and the row of a carrier point s is s^-1.  Generator i moves
+    the cosets by ``table.inverses[i]``, the core closure's step
+    rank + i, so the core images are the closure's move rows from rank on.
+    """
     n = table.size
-    gen_actions = [action_permutation(table, Word((i,), table.rank)) for i in range(1, table.rank + 1)]
+    gen_actions = table.inverses
     if strategy == "literal":
         if n > LITERAL_DEGREE_MAX:
             raise CoreTooLargeError(
                 f"literal strategy keeps all of Sym({n}); capped at degree {LITERAL_DEGREE_MAX}"
             )
         carrier = sorted(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(carrier)}
+        images = tuple(tuple(index[compose(g, s)] for s in carrier) for g in gen_actions)
     elif strategy == "core":
-        carrier = image_group(table.images, table.size, core_cap)
+        group = image_group(table.images, n, core_cap)
+        carrier = group.elements
+        images = group.moves[table.rank:]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    index = {p: i for i, p in enumerate(carrier)}
-    images = tuple(
-        tuple(index[compose(g, s)] for s in carrier) for g in gen_actions
-    )
     approx = SoficApproximation("free", table.rank, len(carrier), images)
     return approx, orbit_witness(images, gen_actions, labels, lambda t: inverse(carrier[t]))
 
 
 def _separating_quotient(
     rank: int, targets: Sequence[Word]
-) -> tuple[CosetTable, list[tuple[int, ...]], str]:
+) -> tuple[CosetTable, ImageGroup, str]:
     """Finite quotient of F_rank where every target survives, smallest order found.
 
     The quotient map sends w to ``action_permutation(table, w)``; returns
@@ -297,18 +317,20 @@ def biregular_approximation(
     left translation and B is Q.  The left factor moves B by left
     translation, the right factor by q -> q a^-1, and the row at the
     identity (1, 1) is the identity, so the row at (u, v) is
-    q -> u^-1 q v.
+    q -> u^-1 q v.  The left translations are the quotient closure's
+    move rows, as in :func:`finite_index_witness`.
     """
-    table, elements, strategy = _separating_quotient(rank, pairwise_differences(E))
+    table, group, strategy = _separating_quotient(rank, pairwise_differences(E))
+    elements = group.elements
     m = len(elements)
     index = {p: i for i, p in enumerate(elements)}
     e_labels = [index[action_permutation(table, x)] for x in E]
     if len(set(e_labels)) != len(e_labels):
         raise AssertionError("separating quotient produced a label collision")
 
-    gens = [action_permutation(table, Word((i,), rank)) for i in range(1, rank + 1)]
-    left = [tuple(index[compose(g, p)] for p in elements) for g in gens]
-    right = [tuple(index[compose(p, g_inv)] for p in elements) for g_inv in map(inverse, gens)]
+    left = list(group.moves[rank:])
+    # q -> q g^-1, where g^-1 maps to the walk table.images[i]
+    right = [tuple(index[compose(p, g_inv)] for p in elements) for g_inv in table.images]
     images = [tuple(tr[u] * m + v for u in range(m) for v in range(m)) for tr in left]
     images += [tuple(u * m + tr[v] for u in range(m) for v in range(m)) for tr in left]
     approx = SoficApproximation("product", rank, m * m, tuple(images))
@@ -470,15 +492,22 @@ def certificate_to_dict(cert: Certificate) -> dict:
 def write_certificate(cert: Certificate, path: str) -> None:
     """Write one top-level key per line, in sorted order, each value in
     compact JSON with sorted keys.  ``json.dumps`` runs CPython's C
-    encoder only without ``indent``; readers take any layout."""
+    encoder only without ``indent``; readers take any layout.  The file
+    is written beside ``path`` and renamed over it; if the write or the
+    rename fails, the temporary file is removed and the error raised."""
     data = certificate_to_dict(cert)
     lines = (f"{json.dumps(key)}: {json.dumps(data[key], separators=(',', ':'), sort_keys=True)}"
              for key in sorted(data))
     payload = "{\n" + ",\n".join(lines) + "\n}\n"
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # a zero denominator has no nonzero digit

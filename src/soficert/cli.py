@@ -49,7 +49,7 @@ from .verifier import (
     mutate_certificate,
     verify_certificate,
 )
-from .words import Word, parse_word
+from .words import MAX_RANK, Word, parse_word
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,17 @@ def _summary(cert: Certificate, out: str | None) -> dict:
     return payload
 
 
+def _write(cert: Certificate, out: str) -> bool:
+    """Write the certificate to ``out``; an unwritable path is reported
+    as a write error, with no partial file left behind."""
+    try:
+        write_certificate(cert, out)
+    except OSError as exc:
+        print(f"error [write]: {out}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_approx(args) -> int:
     try:
         with open(args.config) as fh:
@@ -159,8 +170,8 @@ def cmd_approx(args) -> int:
     except StageError as exc:
         print(f"error [{exc.stage}]: {exc.cause}", file=sys.stderr)
         return 2
-    if out:
-        write_certificate(cert, out)
+    if out and not _write(cert, out):
+        return 2
     _emit(_summary(cert, out), args.json)
     return 0
 
@@ -190,6 +201,10 @@ def _word_list(text: str, rank: int) -> list[Word]:
 
 
 def cmd_subgroup(args) -> int:
+    if not 1 <= args.rank <= MAX_RANK:
+        print(f"error [config]: rank must be between 1 and {MAX_RANK}, got {args.rank}",
+              file=sys.stderr)
+        return 2
     try:
         gens = _word_list(args.gens, args.rank)
         graph = core_graph(gens, args.rank)
@@ -233,8 +248,8 @@ def cmd_conj_demo(args) -> int:
     except ValueError as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        write_certificate(cert, args.out)
+    if args.out and not _write(cert, args.out):
+        return 2
     report = verify_certificate(cert)
     diagonal_ok = all(
         cert.approx.permutation_of(g) == bireg.approx.permutation_of((g, g)) for g in F
@@ -363,6 +378,17 @@ def cmd_fuzz(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="soficert",
@@ -401,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="mutation and oracle harnesses")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=20)
+    p.add_argument("--cases", type=_positive_int, default=20, help="number of mutations")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fuzz)
     return parser

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from .permutations import compose, identity_perm, inverse, order_bound
@@ -326,15 +327,39 @@ def hall_completion(graph: StallingsGraph, avoid: Sequence[Word]) -> CosetTable:
     return CosetTable(graph.rank, merged.vertex_count, tuple(images))
 
 
+class ImageGroup:
+    """A permutation group listed by its closure, with the closure's moves.
+
+    The steps are the generators, then their inverses; ``moves[k][i]``
+    is the index in ``elements`` of step k composed after element i, so
+    a move row is the group's left-multiplication action by that step.
+    ``len`` is the group order.  A plain class: a dataclass would add
+    about a millisecond to every import of the package.
+    """
+
+    __slots__ = ("elements", "moves")
+
+    def __init__(
+        self, elements: tuple[tuple[int, ...], ...], moves: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self.elements = elements
+        self.moves = moves
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
 def image_group(
     generators: Sequence[Sequence[int]], degree: int, cap: int = DEFAULT_CORE_CAP
-) -> list[tuple[int, ...]]:
-    """Elements of the permutation group generated by ``generators`` on
-    ``degree`` points, in the order a breadth-first closure from the
-    identity discovers them (each generator, then each inverse).
+) -> ImageGroup:
+    """The permutation group generated by ``generators`` on ``degree``
+    points, its elements in the order a breadth-first closure from the
+    identity discovers them (each generator, then each inverse), and the
+    index of every product the closure forms.
 
     The group is sized by a Schreier-Sims chain first; one of order
-    above ``cap`` is refused before any element is listed.
+    above ``cap`` is refused before any element is listed.  Each element
+    u is one ``itemgetter`` gather, applied to every step p to give p . u.
     """
     order = order_bound(generators, degree, cap)
     if order > cap:
@@ -343,18 +368,24 @@ def image_group(
         )
     steps = list(generators) + [inverse(p) for p in generators]
     first = identity_perm(degree)
-    seen = {first}
+    index = {first: 0}
     elements = [first]
-    queue = deque(elements)
-    while queue:
-        u = queue.popleft()
-        for p in steps:
-            v = compose(p, u)
-            if v not in seen:
-                seen.add(v)
-                elements.append(v)
-                queue.append(v)
+    moves: list[list[int]] = [[] for _ in steps]
+    if degree > 1:
+        find, discover = index.get, elements.append
+        records = [(p, row.append) for p, row in zip(steps, moves)]
+        for u in elements:  # the list grows while it is walked
+            gather = itemgetter(*u)
+            for p, record in records:
+                v = gather(p)
+                i = find(v)
+                if i is None:
+                    i = index[v] = len(elements)
+                    discover(v)
+                record(i)
+    else:  # the trivial group; itemgetter cannot gather 0 or 1 points into a tuple
+        for row in moves:
+            row.append(0)
     if len(elements) != order:
         raise AssertionError(f"closure has {len(elements)} elements, stabilizer chain {order}")
-    return elements
-
+    return ImageGroup(tuple(elements), tuple(map(tuple, moves)))

@@ -108,7 +108,7 @@ def test_literal_matches_core_rows():
     approx_lit, wit_lit = finite_index_witness(table, every_coset, "literal")
     approx_core, wit_core = finite_index_witness(table, every_coset, "core")
     carrier_lit = sorted(itertools.permutations(range(table.size)))
-    carrier_core = image_group(table.images, table.size, 10**6)
+    carrier_core = image_group(table.images, table.size, 10**6).elements
     index = {p: i for i, p in enumerate(carrier_lit)}
     for j, s in enumerate(carrier_core):
         # same witness rows and the same phi targets at embedded points
@@ -232,8 +232,8 @@ def test_separating_quotient_frozen(points, count, degree, walks, order):
     # tested each candidate through a CosetTable and action_permutation
     targets = pairwise_differences(points)
     assert len(targets) == count
-    table, elements, route = _separating_quotient(2, targets)
-    assert (table.size, table.images, len(elements), route) == (degree, walks, order, "quotient-search")
+    table, group, route = _separating_quotient(2, targets)
+    assert (table.size, table.images, len(group), route) == (degree, walks, order, "quotient-search")
     assert all(action_permutation(table, w) != tuple(range(degree)) for w in targets)
 
 

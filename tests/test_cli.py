@@ -457,6 +457,14 @@ def test_subgroup_bad_word_exits_2(capsys):
     assert "error [config]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank", [-1, 0, 27])
+def test_subgroup_rank_out_of_range_exits_2(capsys, rank):
+    assert main(["subgroup", "--rank", str(rank), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error [config]: rank must be between 1 and 26, got {rank}\n"
+
+
 # ---------------------------------------------------------------------------
 # conj-demo and fuzz
 
@@ -468,6 +476,30 @@ def test_conj_demo_defaults(tmp_path, capsys):
     assert payload["verdict"] == "accept"
     assert payload["diagonal_phi_agreement"] is True
     assert main(["verify", out]) == 0
+
+
+@pytest.mark.parametrize("command", ["approx", "conj-demo"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2_and_leaves_no_temp_file(tmp_path, capsys, command, target):
+    # an existing directory is opened beside, so the temporary file is
+    # written in full before the rename fails
+    out = tmp_path / "missing" / "cert.json" if target == "missing-dir" else tmp_path / "cert.json"
+    if target == "directory":
+        out.mkdir()
+    argv = ["--config", write_job(tmp_path, COSET_JOB)] if command == "approx" else []
+    assert main([command, *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error [write]: {out}: ")
+    assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
+
+
+@pytest.mark.parametrize("cases", ["0", "-1", "x"])
+def test_fuzz_cases_must_be_positive(capsys, cases):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--cases", cases])
+    assert exc.value.code == 2
+    assert "--cases: must be a positive integer" in capsys.readouterr().err
 
 
 def test_fuzz_perfect_scores(capsys):

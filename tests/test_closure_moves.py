@@ -1,0 +1,143 @@
+"""The closure that records its moves and the witness walk on prebuilt
+gathers, against the code they replaced.
+
+The previous ``image_group`` and ``orbit_witness`` are kept below
+verbatim as references, with the ``compose`` they called.  The new
+closure must list the same elements in the same order, and each move
+row must be the step composed after every element; the new walk must
+fill the same rows, at one label and on a one-label B too, where
+``itemgetter`` cannot be used as a gather.
+"""
+
+from collections import deque
+
+import pytest
+import hypothesis.strategies as st
+from hypothesis import given
+
+import soficert.builder as builder
+import soficert.permutations as permutations
+import soficert.stallings as stallings
+from soficert.actions import CosetAction, canonical_point, separation_targets
+from soficert.builder import OrbitWitness, finite_index_witness, orbit_witness
+from soficert.permutations import compose, identity_perm, inverse, order_bound
+from soficert.stallings import (
+    DEFAULT_CORE_CAP,
+    CoreTooLargeError,
+    hall_completion,
+    image_group,
+    left_coset_of,
+)
+from soficert.words import parse_word
+
+# ---------------------------------------------------------------------------
+# the references
+
+
+def _reference_image_group(generators, degree, cap=DEFAULT_CORE_CAP):
+    order = order_bound(generators, degree, cap)
+    if order > cap:
+        raise CoreTooLargeError(
+            f"image group exceeds cap {cap} on {degree} points (order at least {order})"
+        )
+    steps = list(generators) + [inverse(p) for p in generators]
+    first = identity_perm(degree)
+    seen = {first}
+    elements = [first]
+    queue = deque(elements)
+    while queue:
+        u = queue.popleft()
+        for p in steps:
+            v = compose(p, u)
+            if v not in seen:
+                seen.add(v)
+                elements.append(v)
+                queue.append(v)
+    if len(elements) != order:
+        raise AssertionError(f"closure has {len(elements)} elements, stabilizer chain {order}")
+    return elements
+
+
+def _reference_orbit_witness(images, b_images, labels, seed):
+    b_inverses = [inverse(p) for p in b_images]
+    pi = [None] * len(images[0])
+    for t in range(len(pi)):
+        if pi[t] is not None:
+            continue
+        row = seed(t)
+        pi[t] = compose(row, labels)
+        queue = deque([(t, row)])
+        while queue:
+            s, row = queue.popleft()
+            for image, b_inverse in zip(images, b_inverses):
+                u = image[s]
+                if pi[u] is None:
+                    moved = compose(row, b_inverse)
+                    pi[u] = compose(moved, labels)
+                    queue.append((u, moved))
+    return OrbitWitness(tuple(range(len(pi))), tuple(range(len(b_images[0]))), tuple(pi))
+
+
+# ---------------------------------------------------------------------------
+# the closure
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, None])
+@given(data=st.data())
+def test_closure_matches_reference_and_moves_are_products(degree, data):
+    # degrees 0 and 1 are the trivial group, which the closure spells out
+    n = data.draw(st.integers(3, 7)) if degree is None else degree
+    gens = [tuple(p) for p in data.draw(st.lists(st.permutations(range(n)), max_size=3))]
+    group = image_group(gens, n)
+    assert list(group.elements) == _reference_image_group(gens, n)
+    assert len(group) == len(group.elements) == order_bound(gens, n)
+    steps = gens + [inverse(p) for p in gens]
+    assert len(group.moves) == len(steps)
+    for step, row in zip(steps, group.moves):
+        assert len(row) == len(group)
+        for i, u in enumerate(group.elements):
+            assert group.elements[row[i]] == compose(step, u)
+
+
+def test_core_build_reads_images_off_the_closure(monkeypatch):
+    # the 40320-point carrier of the aabb-f5 bench job: composing every
+    # generator with every element again took about 3 * 10**5 calls
+    w = lambda t: parse_word(t, 2)
+    spec = CosetAction(2, (w("aabb"),))
+    points = [canonical_point(spec, w(t)) for t in ("1", "a", "b")]
+    avoid, _ = separation_targets(spec, [w(t) for t in ("a", "b", "ab", "ba", "aB")], points)
+    table = hall_completion(spec.graph, avoid)
+    labels = [left_coset_of(table, x) for x in points]
+    calls = 0
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return compose(p, q)
+
+    for module in (permutations, stallings, builder):
+        monkeypatch.setattr(module, "compose", counted)
+    approx, witness = finite_index_witness(table, labels, "core", DEFAULT_CORE_CAP)
+    assert approx.size == len(witness.pi) == 40320
+    assert calls < 10**4
+
+
+# ---------------------------------------------------------------------------
+# the witness walk
+
+
+@pytest.mark.parametrize("b_size, e_size", [(1, 1), (3, 1), (4, 2), (5, 5)])
+@given(data=st.data())
+def test_orbit_witness_matches_per_step_compose(b_size, e_size, data):
+    # any rows will do: both walks visit the points in the same order and
+    # apply the same products, consistent or not
+    n = data.draw(st.integers(1, 8))
+    rank = data.draw(st.integers(1, 3))
+    images = [tuple(data.draw(st.permutations(range(n)))) for _ in range(rank)]
+    b_images = [tuple(data.draw(st.permutations(range(b_size)))) for _ in range(rank)]
+    labels = data.draw(st.permutations(range(b_size)))[:e_size]
+    rows = [tuple(data.draw(st.permutations(range(b_size)))) for _ in range(n)]
+    args = (images, b_images, labels, rows.__getitem__)
+    built = orbit_witness(*args)
+    assert built == _reference_orbit_witness(*args)
+    assert all(type(row) is tuple and len(row) == e_size for row in built.pi)
