@@ -37,7 +37,6 @@ import contextlib
 import itertools
 import json
 import os
-import random
 import re
 import reprlib
 from collections import deque
@@ -64,7 +63,7 @@ from .actions import (
     point_rank,
     separation_targets,
 )
-from .permutations import compose, identity_perm, inverse
+from .permutations import compose, identity_perm, inverse, order_bound
 from .stallings import (
     DEFAULT_CORE_CAP,
     CoreTooLargeError,
@@ -85,10 +84,9 @@ DEFAULT_EPSILON = Fraction(0)
 LITERAL_DEGREE_MAX = 6
 # a biregular carrier Q x Q stays within 10**5 points
 QUOTIENT_ORDER_MAX = int(100_000**0.5)
-# the small-quotient search: exhaustive below degree 4, then this many
-# seeded samples per degree up to the maximum
+# the small-quotient search tries every generator tuple, up to
+# conjugacy, of each degree up to this one
 QUOTIENT_DEGREE_MAX = 5
-QUOTIENT_SAMPLES = 2000
 
 
 class SeparatorInvalidError(ValueError):
@@ -247,14 +245,24 @@ def finite_index_witness(
 def _separating_quotient(
     rank: int, targets: Sequence[Word]
 ) -> tuple[CosetTable, ImageGroup, str]:
-    """Finite quotient of F_rank where every target survives, smallest order found.
+    """Finite quotient of F_rank where every target survives.
 
     The quotient map sends w to ``action_permutation(table, w)``; returns
     the table, the group its walks generate and the route that found it.
     First tries the normal core of a Hall completion separating the
-    targets; if its image group is above ``QUOTIENT_ORDER_MAX``, falls
-    back to a deterministic search over small symmetric groups (seeded
-    sampling beyond degree 3), whose groups are never that large.
+    targets.  If its image group is above ``QUOTIENT_ORDER_MAX``, searches
+    the generator tuples of degree 2 to ``QUOTIENT_DEGREE_MAX`` and
+    returns, from the first degree where any tuple separates, one of
+    least group order, the lexicographically first among those.  Only
+    separating tuples are sized, by ``order_bound`` capped one below the
+    least order found so far, so a larger group's chain stops early.
+
+    Conjugating a whole tuple by one permutation relabels the points and
+    keeps both the order and the surviving targets, and the first tuple
+    of least order is least among its conjugates.  So the search takes
+    generator 1 as the least permutation of each conjugacy class (cycle
+    type) and generator 2 least among its conjugates by the centralizer
+    of generator 1; later generators run over all permutations.
     """
 
     def quotient(table: CosetTable, route: str):
@@ -265,44 +273,63 @@ def _separating_quotient(
     except CoreTooLargeError:
         pass
 
-    # A target w survives when its walk, a product of the candidate's
-    # permutations and their inverses, moves some point (w acts by the
-    # walk of w^-1, the inverse permutation).  Every target is tested
-    # before a candidate is accepted, so moving the one that rejected the
-    # last candidate to the front changes only the cost of the search.
+    # A candidate runs on the indices of the degree's permutations in
+    # sorted order, so index order is lexicographic order and the identity
+    # is 0.  A target w survives when its walk, a product of the
+    # candidate's permutations and their inverses, is not the identity (w
+    # acts by the walk of w^-1, the inverse permutation).  Every target is
+    # tested before a candidate is accepted, so moving the one that
+    # rejected the last candidate to the front changes only the cost of
+    # the search.
     walks = [[l - 1 if l > 0 else rank - l - 1 for l in w.letters] for w in targets]
-    inverse_of: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def separates(images: tuple[tuple[int, ...], ...]) -> bool:
-        steps = images + tuple(inverse_of[p] for p in images)
-        unmoved = identity_perm(len(images[0]))
-        for k, walk in enumerate(walks):
-            perm = unmoved
-            for i in walk:
-                perm = compose(steps[i], perm)
-            if perm == unmoved:
-                walks.insert(0, walks.pop(k))
-                return False
-        return True
+    for degree in range(2, QUOTIENT_DEGREE_MAX + 1):
+        perms = sorted(itertools.permutations(range(degree)))
+        index = {p: i for i, p in enumerate(perms)}
+        # mul[i][j] is the index of perms[i] . perms[j]
+        mul = [[index[compose(p, q)] for q in perms] for p in perms]
+        inv = [row.index(0) for row in mul]
 
-    for degree in range(2, 4):
-        perms = sorted(itertools.permutations(range(degree)))
-        inverse_of.update(zip(perms, map(inverse, perms)))
-        for combo in itertools.product(perms, repeat=rank):
-            if separates(combo):
-                return quotient(CosetTable(rank, degree, combo), "quotient-search")
-    rng = random.Random(0)
-    for degree in range(4, QUOTIENT_DEGREE_MAX + 1):
-        perms = sorted(itertools.permutations(range(degree)))
-        inverse_of.update(zip(perms, map(inverse, perms)))
-        for _ in range(QUOTIENT_SAMPLES):
-            combo = tuple(rng.choice(perms) for _ in range(rank))
-            if separates(combo):
-                return quotient(CosetTable(rank, degree, combo), "quotient-search")
+        def separates(combo: tuple[int, ...]) -> bool:
+            steps = [mul[i] for i in combo] + [mul[inv[i]] for i in combo]
+            for k, walk in enumerate(walks):
+                x = 0
+                for i in walk:
+                    x = steps[i][x]
+                if x == 0:
+                    walks.insert(0, walks.pop(k))
+                    return False
+            return True
+
+        def least_conjugates(first: int) -> list[int]:
+            """The permutations least among their conjugates by the
+            centralizer of ``first``."""
+            centralizer = [s for s in range(len(perms)) if mul[s][first] == mul[first][s]]
+            seen: set[int] = set()
+            least = []
+            for p in range(len(perms)):
+                if p not in seen:
+                    least.append(p)
+                    seen.update(mul[mul[s][p]][inv[s]] for s in centralizer)
+            return least
+
+        best, best_order = None, 0
+        # the identity's centralizer is everything: one per conjugacy class
+        for first in least_conjugates(0):
+            second = [least_conjugates(first)] if rank > 1 else []
+            for tail in itertools.product(*second, *[range(len(perms))] * (rank - 2)):
+                combo = (first, *tail)
+                if separates(combo):
+                    images = tuple(perms[i] for i in combo)
+                    order = order_bound(images, degree, None if best is None else best_order - 1)
+                    if best is None or order < best_order:
+                        best, best_order = images, order
+        if best is not None:
+            return quotient(CosetTable(rank, degree, best), "quotient-search")
+    texts = [w.text() for w in targets]
     raise CoreTooLargeError(
-        "no small quotient separates "
-        + ", ".join(w.text() for w in targets)
-        + f" within degree {QUOTIENT_DEGREE_MAX}"
+        f"no quotient of degree at most {QUOTIENT_DEGREE_MAX} separates "
+        f"the {len(texts)} targets {reprlib.repr(texts)}"
     )
 
 
@@ -489,6 +516,20 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+def _create_beside(path: str) -> tuple[str, int]:
+    """A new file in ``path``'s directory, opened for writing, and its
+    name, which is short whatever the length of ``path``'s own name.  It
+    is created as ``open`` creates a file (mode 0o666 less the umask);
+    a name already taken is skipped."""
+    directory = os.path.dirname(path)
+    for n in itertools.count():
+        tmp = os.path.join(directory, f".soficert.tmp.{os.getpid()}.{n}")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+
+
 def write_certificate(cert: Certificate, path: str) -> None:
     """Write one top-level key per line, in sorted order, each value in
     compact JSON with sorted keys.  ``json.dumps`` runs CPython's C
@@ -499,9 +540,9 @@ def write_certificate(cert: Certificate, path: str) -> None:
     lines = (f"{json.dumps(key)}: {json.dumps(data[key], separators=(',', ':'), sort_keys=True)}"
              for key in sorted(data))
     payload = "{\n" + ",\n".join(lines) + "\n}\n"
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp, fd = _create_beside(path)
     try:
-        with open(tmp, "w") as fh:
+        with open(fd, "w") as fh:
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:

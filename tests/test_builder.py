@@ -214,27 +214,96 @@ def test_biregular_nonabelian_search_route():
     assert verify_certificate(cert).accepted
 
 
-def radius_ball(radius):
-    """Reduced words of length <= radius, layer by layer, letters a b A B."""
-    words, layer = [w2("")], [()]
+def radius_ball(radius, rank=2):
+    """Reduced words of length <= radius, layer by layer, letters a b A B
+    at rank 2 (a b c A B C at rank 3)."""
+    letters = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
+    words, layer = [Word((), rank)], [()]
     for _ in range(radius):
-        layer = [w + (l,) for w in layer for l in (1, 2, -1, -2) if not w or w[-1] != -l]
-        words += [Word(w, 2) for w in layer]
+        layer = [w + (l,) for w in layer for l in letters if not w or w[-1] != -l]
+        words += [Word(w, rank) for w in layer]
     return words
 
 
+def naive_closure(generators):
+    """The group the generators generate, listed by breadth-first
+    products rather than sized by a stabilizer chain."""
+    elements = {tuple(range(len(generators[0])))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [compose(g, u) for u in frontier for g in generators]
+        frontier = [v for v in set(frontier) if v not in elements]
+        elements.update(frontier)
+    return elements
+
+
+def least_separating_pair(points):
+    """Brute force over every pair of permutations of degree <= 5.
+
+    Generator i maps to the inverse of walk i, so w maps to
+    ``action_permutation`` of the pair's table; every difference x^-1 y
+    survives exactly when the points map to distinct permutations.
+    Returns the first degree where some pair separates, the
+    lexicographically first pair there of least group order, and that
+    order; None if no degree does."""
+    for degree in range(2, 6):
+        perms = sorted(itertools.permutations(range(degree)))
+        best = None
+        for pair in itertools.product(perms, repeat=2):
+            letter = {1: inverse(pair[0]), 2: inverse(pair[1]), -1: pair[0], -2: pair[1]}
+            images = set()
+            for x in points:
+                perm = tuple(range(degree))
+                for l in x.letters:
+                    perm = compose(perm, letter[l])
+                if perm in images:
+                    break
+                images.add(perm)
+            else:
+                order = len(naive_closure(pair))
+                if best is None or order < best[2]:
+                    best = (degree, pair, order)
+        if best is not None:
+            return best
+    return None
+
+
 @pytest.mark.parametrize("points, count, degree, walks, order", [
-    (radius_ball(2), 160, 5, ((4, 2, 3, 0, 1), (1, 0, 4, 2, 3)), 120),
+    (radius_ball(2), 160, 5, ((1, 2, 3, 4, 0), (1, 3, 0, 4, 2)), 60),
     ([w2(t) for t in ("", "a", "b", "ab", "ba")], 16, 3, ((0, 2, 1), (1, 0, 2)), 6),
 ], ids=["radius-2-ball", "biregular-e5"])
 def test_separating_quotient_frozen(points, count, degree, walks, order):
-    # the degree, walks, order and route the search found when it still
-    # tested each candidate through a CosetTable and action_permutation
+    # the search's answer is the brute-force one: no pair of lower degree
+    # separates, and the walks are the first pair of least order (A_5,
+    # not S_5, for the radius-2 ball)
     targets = pairwise_differences(points)
     assert len(targets) == count
+    assert least_separating_pair(points) == (degree, walks, order)
     table, group, route = _separating_quotient(2, targets)
     assert (table.size, table.images, len(group), route) == (degree, walks, order, "quotient-search")
     assert all(action_permutation(table, w) != tuple(range(degree)) for w in targets)
+
+
+def test_rank_3_window_gets_the_least_quotient_of_its_degree():
+    # first separated at degree 5; a first hit there generates S_5
+    E = [parse_word(t, 3) for t in ("1", "a", "b", "c", "A", "B", "C",
+                                    "CC", "Ca", "Ba", "AB", "aB", "cc")]
+    cert = approximate(BiregularAction(3), [], E)
+    quotient = cert.provenance["quotient"]
+    assert (cert.provenance["strategy"], quotient["degree"], quotient["order"]) == (
+        "quotient-search", 5, 60)
+    assert quotient["walks"] == [[0, 1, 3, 4, 2], [0, 2, 3, 1, 4], [1, 2, 3, 4, 0]]
+    assert cert.approx.size == 3600
+    assert verify_certificate(cert).accepted
+
+
+def test_rank_3_radius_2_ball_is_refused():
+    with pytest.raises(StageError) as exc:
+        approximate(BiregularAction(3), [], radius_ball(2, rank=3))
+    assert exc.value.stage == "biregular"
+    assert isinstance(exc.value.cause, CoreTooLargeError)
+    assert str(exc.value.cause).startswith(
+        "no quotient of degree at most 5 separates the 936 targets ['a', 'b', 'c', ")
 
 
 def test_biregular_deterministic():

@@ -494,6 +494,36 @@ def test_unwritable_out_exits_2_and_leaves_no_temp_file(tmp_path, capsys, comman
     assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
 
 
+def test_long_out_name_is_written_with_the_mode_open_gives(tmp_path):
+    # the temporary file's name does not grow with the target's, so a
+    # name near the 255-byte limit is written like any other
+    out = tmp_path / ("c" * 250)
+    assert main(["approx", "--config", write_job(tmp_path, COSET_JOB), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    made = tmp_path / "made-by-open"
+    with open(made, "w"):
+        pass
+    assert os.stat(out).st_mode == os.stat(made).st_mode
+    assert not [p for p in tmp_path.iterdir() if ".tmp." in p.name]
+
+
+def test_biregular_refusal_message_is_short(tmp_path, capsys):
+    # no quotient of degree <= 5 keeps the 53 points of the radius-3 ball
+    # apart; the message gives the 1456 targets' count and the first few
+    layer, ball = [""], ["1"]
+    for _ in range(3):
+        layer = [w + l for w in layer for l in "abAB" if not w or w[-1] != l.swapcase()]
+        ball += layer
+    job = {"action": {"kind": "biregular", "rank": 2}, "F": [], "E": ball}
+    out = tmp_path / "cert.json"
+    assert main(["approx", "--config", write_job(tmp_path, job), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [biregular]: no quotient of degree at most 5 separates "
+                          "the 1456 targets ['a', 'b', 'A', 'B', 'aa', 'ab', ...]")
+    assert len(err.encode()) < 300
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cases", ["0", "-1", "x"])
 def test_fuzz_cases_must_be_positive(capsys, cases):
     with pytest.raises(SystemExit) as exc:
