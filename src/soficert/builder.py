@@ -84,9 +84,12 @@ DEFAULT_EPSILON = Fraction(0)
 LITERAL_DEGREE_MAX = 6
 # a biregular carrier Q x Q stays within 10**5 points
 QUOTIENT_ORDER_MAX = int(100_000**0.5)
-# the small-quotient search tries every generator tuple, up to
-# conjugacy, of each degree up to this one
+# the small-quotient search tries the generator tuples, up to
+# conjugacy, of each degree up to this one, setting at most
+# QUOTIENT_SEARCH_MAX generators per degree: enough for every tuple at
+# rank 3 or less (19 488 at degree 5)
 QUOTIENT_DEGREE_MAX = 5
+QUOTIENT_SEARCH_MAX = 25_000
 
 
 class SeparatorInvalidError(ValueError):
@@ -251,11 +254,14 @@ def _separating_quotient(
     the table, the group its walks generate and the route that found it.
     First tries the normal core of a Hall completion separating the
     targets.  If its image group is above ``QUOTIENT_ORDER_MAX``, searches
-    the generator tuples of degree 2 to ``QUOTIENT_DEGREE_MAX`` and
-    returns, from the first degree where any tuple separates, one of
-    least group order, the lexicographically first among those.  Only
-    separating tuples are sized, by ``order_bound`` capped one below the
-    least order found so far, so a larger group's chain stops early.
+    the generator tuples of degree 2 to ``QUOTIENT_DEGREE_MAX`` depth
+    first, in lexicographic order, and returns from the first degree
+    where a tuple separates the lexicographically first tuple of least
+    group order.  Tuples are sized by ``order_bound`` capped one below
+    the least order found so far, so a larger group's chain stops early.
+    A prefix is dropped once it kills a target that uses none of the
+    later generators, or once its group reaches the least order, since
+    every extension generates at least that group.
 
     Conjugating a whole tuple by one permutation relabels the points and
     keeps both the order and the surviving targets, and the first tuple
@@ -263,6 +269,12 @@ def _separating_quotient(
     generator 1 as the least permutation of each conjugacy class (cycle
     type) and generator 2 least among its conjugates by the centralizer
     of generator 1; later generators run over all permutations.
+
+    Each degree sets at most ``QUOTIENT_SEARCH_MAX`` generators.  That
+    covers every tuple at rank 3 or less, so there the rule above is
+    exact.  At a higher rank the search may stop early: it then returns
+    the least order among the tuples it reached, or, if none separated,
+    goes on to the next degree.
     """
 
     def quotient(table: CosetTable, route: str):
@@ -277,11 +289,16 @@ def _separating_quotient(
     # sorted order, so index order is lexicographic order and the identity
     # is 0.  A target w survives when its walk, a product of the
     # candidate's permutations and their inverses, is not the identity (w
-    # acts by the walk of w^-1, the inverse permutation).  Every target is
-    # tested before a candidate is accepted, so moving the one that
-    # rejected the last candidate to the front changes only the cost of
-    # the search.
-    walks = [[l - 1 if l > 0 else rank - l - 1 for l in w.letters] for w in targets]
+    # acts by the walk of w^-1, the inverse permutation).  A walk is
+    # tested as soon as the last generator it uses is set, and no later
+    # generator changes its value.  Every target is tested before a tuple
+    # is accepted, so moving the one that rejected the last prefix to the
+    # front of its list changes only the cost of the search.
+    walks_at: list[list[list[int]]] = [[] for _ in range(rank)]
+    for w in targets:
+        walk = [l - 1 if l > 0 else rank - l - 1 for l in w.letters]
+        walks_at[max(i % rank for i in walk)].append(walk)
+    cut: list[str] = []
 
     for degree in range(2, QUOTIENT_DEGREE_MAX + 1):
         perms = sorted(itertools.permutations(range(degree)))
@@ -289,9 +306,11 @@ def _separating_quotient(
         # mul[i][j] is the index of perms[i] . perms[j]
         mul = [[index[compose(p, q)] for q in perms] for p in perms]
         inv = [row.index(0) for row in mul]
+        steps: list = [None] * (2 * rank)
+        combo: list[int] = []
+        best, best_order, budget = None, 0, QUOTIENT_SEARCH_MAX
 
-        def separates(combo: tuple[int, ...]) -> bool:
-            steps = [mul[i] for i in combo] + [mul[inv[i]] for i in combo]
+        def survive(walks: list[list[int]]) -> bool:
             for k, walk in enumerate(walks):
                 x = 0
                 for i in walk:
@@ -313,24 +332,44 @@ def _separating_quotient(
                     seen.update(mul[mul[s][p]][inv[s]] for s in centralizer)
             return least
 
-        best, best_order = None, 0
-        # the identity's centralizer is everything: one per conjugacy class
-        for first in least_conjugates(0):
-            second = [least_conjugates(first)] if rank > 1 else []
-            for tail in itertools.product(*second, *[range(len(perms))] * (rank - 2)):
-                combo = (first, *tail)
-                if separates(combo):
-                    images = tuple(perms[i] for i in combo)
+        def extend(options: Sequence[int]) -> None:
+            """Try each option as the next generator, in order, and search
+            below each prefix that keeps its targets and stays below the
+            least order found."""
+            nonlocal best, best_order, budget
+            k = len(combo)
+            combo.append(0)
+            for g in options:
+                if budget == 0:
+                    break
+                budget -= 1
+                combo[k], steps[k], steps[rank + k] = g, mul[g], mul[inv[g]]
+                if not survive(walks_at[k]):
+                    continue
+                images = tuple(perms[i] for i in combo)
+                if k + 1 == rank:
                     order = order_bound(images, degree, None if best is None else best_order - 1)
                     if best is None or order < best_order:
                         best, best_order = images, order
+                elif best is None or order_bound(images, degree, best_order - 1) < best_order:
+                    # generator 2 up to conjugation by generator 1's centralizer
+                    extend(least_conjugates(g) if k == 0 else range(len(perms)))
+            combo.pop()
+
+        # the identity's centralizer is everything: one per conjugacy class
+        extend(least_conjugates(0))
         if best is not None:
             return quotient(CosetTable(rank, degree, best), "quotient-search")
+        if budget == 0:
+            cut.append(str(degree))
     texts = [w.text() for w in targets]
-    raise CoreTooLargeError(
-        f"no quotient of degree at most {QUOTIENT_DEGREE_MAX} separates "
-        f"the {len(texts)} targets {reprlib.repr(texts)}"
-    )
+    verb = "was found to separate" if cut else "separates"
+    message = (f"no quotient of degree at most {QUOTIENT_DEGREE_MAX} {verb} "
+               f"the {len(texts)} targets {reprlib.repr(texts)}")
+    if cut:
+        message += (f" (the search stopped at {QUOTIENT_SEARCH_MAX} generators "
+                    f"of degree {', '.join(cut)})")
+    raise CoreTooLargeError(message)
 
 
 def biregular_approximation(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 import hypothesis.strategies as st
@@ -15,6 +16,7 @@ from soficert.actions import (
 )
 from soficert.builder import (
     LITERAL_DEGREE_MAX,
+    QUOTIENT_SEARCH_MAX,
     Certificate,
     CertificateFormatError,
     OrbitWitness,
@@ -304,6 +306,48 @@ def test_rank_3_radius_2_ball_is_refused():
     assert isinstance(exc.value.cause, CoreTooLargeError)
     assert str(exc.value.cause).startswith(
         "no quotient of degree at most 5 separates the 936 targets ['a', 'b', 'c', ")
+
+
+def test_quotient_search_budget_covers_rank_3():
+    # at degree 5 a rank-3 search sets generator 1 once per conjugacy
+    # class, generator 2 once per orbit of pairs under simultaneous
+    # conjugation, and generator 3 to all of S_5 below each pair (both
+    # counts by Burnside: sums of centralizer sizes over |S_5|)
+    perms = list(itertools.permutations(range(5)))
+    centralizers = [sum(compose(g, s) == compose(s, g) for s in perms) for g in perms]
+    classes = sum(centralizers) // len(perms)
+    pairs = sum(c * c for c in centralizers) // len(perms)
+    assert (classes, pairs) == (7, 161)
+    assert classes + pairs + pairs * len(perms) == 19_488 <= QUOTIENT_SEARCH_MAX
+
+
+@pytest.mark.parametrize("rank, points, outcome", [
+    (4, radius_ball(1, rank=4), (4, 12)),
+    (6, radius_ball(1, rank=6), (4, 24)),
+    # only the last generator's targets bite, so the search stops at its
+    # budget and keeps the least order among the tuples it reached
+    (4, ["1", "a", "b", "c", "d", "d" * 12], (5, 120)),
+    (6, ["1", "a", "b", "c", "d", "e", "f", "f" * 60], "4, 5"),
+    (4, radius_ball(2, rank=4), ""),
+], ids=["rank-4-ball", "rank-6-ball", "rank-4-cut", "rank-6-cut-refusal", "rank-4-refusal"])
+def test_high_rank_quotient_search_stays_bounded(rank, points, outcome):
+    # each case takes about a second at most on 2 CPUs; searching every
+    # tuple took from 11 s to over a minute for the last four, and each
+    # further generator multiplies that by up to 120
+    points = [parse_word(x, rank) if isinstance(x, str) else x for x in points]
+    targets = pairwise_differences(points)
+    start = time.perf_counter()
+    try:
+        table, group, route = _separating_quotient(rank, targets)
+    except CoreTooLargeError as exc:
+        # outcome names the degrees cut short; one cut without a hit
+        # hands on to the next
+        cut = f" (the search stopped at 25000 generators of degree {outcome})" if outcome else ""
+        assert str(exc).endswith("...]" + cut)
+    else:
+        assert (route, table.size, len(group)) == ("quotient-search", *outcome)
+        assert all(action_permutation(table, w) != tuple(range(table.size)) for w in targets)
+    assert time.perf_counter() - start < 5
 
 
 def test_biregular_deterministic():
