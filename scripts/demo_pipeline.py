@@ -12,7 +12,8 @@ import argparse
 import json
 
 from soficert.actions import CosetAction, separation_targets
-from soficert.builder import approximate, certificate_to_dict
+from soficert.builder import approximate
+from soficert.certificate import certificate_to_dict
 from soficert.stallings import core_graph, coset_of, hall_completion, image_group
 from soficert.verifier import verify_certificate
 from soficert.words import parse_word

@@ -19,19 +19,9 @@ from .actions import (
     canonical_point,
     separation_targets,
 )
-from .builder import (
-    Certificate,
-    CertificateFormatError,
-    approximate,
-    load_certificate,
-    restrict_certificate,
-    write_certificate,
-)
-from .verifier import (
-    VerificationReport,
-    brute_force_witness,
-    hamming,
-    verify_certificate,
-)
+from .certificate import Certificate, CertificateFormatError, load_certificate, write_certificate
+from .builder import approximate, restrict_certificate
+from .verifier import VerificationReport, hamming, verify_certificate
+from .harness import brute_force_witness
 
 __version__ = "0.1.0"

@@ -26,12 +26,18 @@ from .stallings import StallingsGraph, core_graph, coset_canonical_word
 from .words import MAX_RANK, Word, identity, invert, multiply, parse_word, product
 
 
+def _check_rank(rank: int) -> None:
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
+
+
 @dataclass(frozen=True)
 class CosetAction:
     rank: int
     subgroup: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_rank(self.rank)
         for w in self.subgroup:
             if w.rank != self.rank:
                 raise ValueError("subgroup generator rank mismatch")
@@ -44,6 +50,9 @@ class CosetAction:
 @dataclass(frozen=True)
 class BiregularAction:
     rank: int
+
+    def __post_init__(self) -> None:
+        _check_rank(self.rank)
 
 
 GroupElement = Union[Word, tuple[Word, Word]]

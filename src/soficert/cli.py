@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -32,23 +31,11 @@ from .actions import (
     parse_element,
     point_rank,
 )
-from .builder import (
-    Certificate,
-    CertificateFormatError,
-    StageError,
-    approximate,
-    certificate_to_dict,
-    epsilon_from_json,
-    write_certificate,
-)
+from .builder import StageError, approximate
+from .certificate import Certificate, CertificateFormatError, epsilon_from_json, write_certificate
+from .harness import mutation_battery, oracle_agreement, oracle_cases
 from .stallings import DEFAULT_CORE_CAP, InseparableError, core_graph, hall_completion
-from .verifier import (
-    MUTATION_KINDS,
-    brute_force_witness,
-    check_orbit_witness,
-    mutate_certificate,
-    verify_certificate,
-)
+from .verifier import verify_certificate
 from .words import MAX_RANK, Word, parse_word
 
 
@@ -259,98 +246,6 @@ def cmd_conj_demo(args) -> int:
     payload["diagonal_phi_agreement"] = diagonal_ok
     _emit(payload, args.json)
     return 0 if report.accepted and diagonal_ok else 1
-
-
-# ---------------------------------------------------------------------------
-# harnesses
-
-
-def oracle_cases() -> list[Certificate]:
-    """Deterministic pool of small built certificates (|A| <= 8, |E| <= 3,
-    |B| <= 5) for the brute-force oracle to cross-examine."""
-    jobs: list[tuple[CosetAction, list[Word], list[Word]]] = []
-    for m in (2, 3, 4):
-        spec = CosetAction(1, (parse_word("a" * m, 1),))
-        points = [parse_word("a" * i, 1) for i in range(min(m, 3))]
-        gens = [parse_word("a", 1)]
-        for k in range(1, len(points) + 1):
-            jobs.append((spec, gens, points[:k]))
-    f2 = [parse_word("a", 2), parse_word("b", 2)]
-    w2 = lambda t: parse_word(t, 2)
-    for sub, e_sets in [
-        ((w2("aa"), w2("b")), [["" ], ["", "a"]]),
-        ((w2("a"),), [[""], ["", "b"]]),
-        ((w2("ab"), w2("ba")), [[""], ["", "a"]]),
-        ((w2("aa"), w2("ab")), [[""], ["", "a"]]),
-        ((w2("a"), w2("bb")), [[""], ["", "b"]]),
-        ((w2("aba"),), [["", "a"]]),
-        ((), [["", "a"], ["", "b"]]),
-    ]:
-        spec = CosetAction(2, sub)
-        for texts in e_sets:
-            jobs.append((spec, f2, [w2(t) for t in texts]))
-    out = []
-    for spec, F, E in jobs:
-        cert = approximate(spec, F, E)
-        if cert.approx.size <= 8 and len(cert.witness.b_labels) <= 5:
-            out.append(cert)
-    return out
-
-
-def oracle_agreement(certs) -> list[dict]:
-    """For each certificate, the oracle must find a witness and that
-    witness must itself check out."""
-    results = []
-    for cert in certs:
-        found = brute_force_witness(
-            cert.action, cert.approx, cert.F, cert.E, cert.epsilon,
-            max_b=len(cert.witness.b_labels),
-        )
-        agreed = found is not None
-        if agreed:
-            chk = check_orbit_witness(
-                cert.action, cert.approx, cert.F, cert.E, found, cert.epsilon
-            )
-            agreed = (
-                chk.cardinality_ok
-                and not chk.injectivity_failures
-                and not chk.equivariance_failures
-            )
-        results.append({
-            "carrier_size": cert.approx.size,
-            "points": [x.text() for x in cert.E],
-            "agreed": agreed,
-        })
-    return results
-
-
-def mutation_battery(bases, count: int, seed: int) -> list[dict]:
-    """``count`` random single-entry mutations spread over the base
-    certificates, each re-verified; records which clause rejected it,
-    "schema" for a file the parser refuses."""
-    rng = random.Random(seed)
-    dicts = [certificate_to_dict(c) for c in bases]
-    results = []
-    attempts = 0
-    while len(results) < count and attempts < 100 * count + 100:
-        attempts += 1
-        m = mutate_certificate(dicts[attempts % len(dicts)], rng, rng.choice(MUTATION_KINDS))
-        if m is None:
-            continue
-        mutated, kind, description = m
-        try:
-            report = verify_certificate(mutated)
-        except CertificateFormatError:
-            killed, clause = True, "schema"
-        else:
-            killed, clause = not report.accepted, report.first_failure
-        results.append({
-            "kind": kind,
-            "description": description,
-            "killed": killed,
-            "clause": clause,
-        })
-    return results
 
 
 def cmd_fuzz(args) -> int:

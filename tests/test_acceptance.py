@@ -16,7 +16,8 @@ import pytest
 
 from soficert.actions import BiregularAction, CosetAction, RestrictedAction, separation_targets
 from soficert.builder import approximate, restrict_certificate
-from soficert.cli import main, mutation_battery, oracle_agreement, oracle_cases
+from soficert.cli import main
+from soficert.harness import mutation_battery, oracle_agreement, oracle_cases
 from soficert.stallings import contains, core_graph, coset_of, hall_completion
 from soficert.words import Word, parse_word
 
@@ -188,7 +189,7 @@ def test_criterion_6_mutation_kill_rate(built, tmp_path):
     bases = []
     for r in built["results"][:3]:
         bases.append(json.loads(open(r["cert_path"]).read()))
-    from soficert.verifier import mutate_certificate
+    from soficert.harness import mutate_certificate
 
     rng = random.Random(17)
     killed = 0

@@ -17,20 +17,22 @@ from soficert.actions import (
 from soficert.builder import (
     LITERAL_DEGREE_MAX,
     QUOTIENT_SEARCH_MAX,
-    Certificate,
-    CertificateFormatError,
-    OrbitWitness,
     SeparatorInvalidError,
-    SoficApproximation,
     StageError,
     _separating_quotient,
     approximate,
-    certificate_from_dict,
-    certificate_to_dict,
     finite_index_witness,
-    load_certificate,
     orbit_witness,
     restrict_certificate,
+)
+from soficert.certificate import (
+    Certificate,
+    CertificateFormatError,
+    OrbitWitness,
+    SoficApproximation,
+    certificate_from_dict,
+    certificate_to_dict,
+    load_certificate,
     write_certificate,
 )
 from soficert.permutations import compose, inverse
@@ -175,6 +177,20 @@ def test_lift_rejects_non_separating_table(monkeypatch):
         assert info.value.stage == "hall_completion"
         assert isinstance(info.value.cause, SeparatorInvalidError)
         assert f"fails to {fails}" in str(info.value.cause)
+
+
+def test_keyboard_interrupt_is_not_a_stage_error(monkeypatch):
+    # Ctrl-C during a long Hall completion must stop the run, not be
+    # reported as the stage failing
+    interrupt = KeyboardInterrupt()
+
+    def interrupted(graph, avoid):
+        raise interrupt
+
+    monkeypatch.setattr("soficert.builder.hall_completion", interrupted)
+    with pytest.raises(KeyboardInterrupt) as info:
+        approximate(COSET_A, F_AB, [w2(""), w2("b")])
+    assert info.value is interrupt
 
 
 def test_lift_uses_left_coset_labels():

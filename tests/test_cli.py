@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from soficert.builder import certificate_from_dict, write_certificate
-from soficert.cli import job_from_dict, main, oracle_agreement, oracle_cases
+from soficert.certificate import certificate_from_dict, write_certificate
+from soficert.cli import job_from_dict, main
+from soficert.harness import oracle_agreement, oracle_cases
 
 COSET_JOB = {
     "action": {"kind": "coset", "rank": 2, "subgroup": ["a"]},
@@ -328,6 +329,24 @@ def test_approx_rejects_malformed_words_and_rank(tmp_path, capsys, case):
     assert main(["approx", "--config", write_job(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [config]: ") and WORD_SCHEMA_ERRORS[case][1] in err, err
+
+
+@pytest.mark.parametrize("kind", ["coset", "biregular"])
+@pytest.mark.parametrize("rank", [-1, 0, 27])
+def test_action_rank_out_of_range_exits_2(tmp_path, capsys, kind, rank):
+    # F and E are empty, so only the action's own check sees the rank
+    action = {"kind": kind, "rank": rank, **({"subgroup": []} if kind == "coset" else {})}
+    message = f"rank must be between 1 and 26, got {rank}\n"
+    out = tmp_path / "cert.json"
+    cfg = write_job(tmp_path, {"action": action, "F": [], "E": []})
+    assert main(["approx", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error [config]: " + message
+    assert not out.exists()
+    cert = {"action": action, "F": [], "E": [], "epsilon": "0", "carrier_size": 1,
+            "generator_images": [], "S": [0], "B": [], "pi": [[]]}
+    out.write_text(json.dumps(cert))
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().err == "error [schema]: action: " + message
 
 
 @pytest.mark.parametrize("command, tag", [("verify", "schema"), ("approx", "config")])

@@ -19,7 +19,8 @@ import soficert.builder as builder
 import soficert.permutations as permutations
 import soficert.stallings as stallings
 from soficert.actions import CosetAction, canonical_point, separation_targets
-from soficert.builder import OrbitWitness, finite_index_witness, orbit_witness
+from soficert.builder import finite_index_witness, orbit_witness
+from soficert.certificate import OrbitWitness
 from soficert.permutations import compose, identity_perm, inverse, order_bound
 from soficert.stallings import (
     DEFAULT_CORE_CAP,

@@ -155,3 +155,29 @@ def test_every_defaulted_parameter_is_passed():
                 for name, index in defaulted_parameters(node, in_class)
                 if not any(passes(call, name, index) for call in calls.get(node.name, []))]
     assert sorted(set(unpassed) - UNPASSED_DEFAULTS_ALLOWED) == []
+
+
+def relative_imports(stem):
+    """The package modules that ``stem``'s module imports by a relative
+    import, ``from .m import x`` and ``from . import m`` alike."""
+    for node in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else (alias.name for alias in node.names)
+
+
+def import_closure(stem):
+    closure, todo = set(), [stem]
+    while todo:
+        module = todo.pop()
+        if module not in closure:
+            closure.add(module)
+            todo.extend(relative_imports(module))
+    return closure
+
+
+def test_verifier_trusts_only_the_certificate_format_and_the_point_algebra():
+    # the code that must be right for an accepted certificate to be
+    # correct; the builder, the harnesses and the CLI are outside it
+    assert import_closure("verifier") == {
+        "verifier", "certificate", "actions", "stallings", "permutations", "words"}
+    assert import_closure("certificate").isdisjoint({"builder", "verifier", "harness", "cli"})

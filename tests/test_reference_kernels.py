@@ -36,13 +36,13 @@ from soficert.actions import (
     parse_element,
     point_rank,
 )
-from soficert.builder import (
+from soficert.builder import approximate
+from soficert.certificate import (
     Certificate,
     CertificateFormatError,
     OrbitWitness,
     SoficApproximation,
     _expect,
-    approximate,
     certificate_from_dict,
     certificate_to_dict,
     epsilon_from_json,

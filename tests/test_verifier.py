@@ -6,21 +6,19 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from soficert.actions import BiregularAction, CosetAction, RestrictedAction
-from soficert.builder import (
+from soficert.builder import approximate
+from soficert.certificate import (
     CertificateFormatError,
     SoficApproximation,
-    approximate,
     certificate_from_dict,
     certificate_to_dict,
 )
+from soficert.harness import MUTATION_KINDS, brute_force_witness, mutate_certificate
 from soficert.verifier import (
-    MUTATION_KINDS,
-    brute_force_witness,
     check_multiplicative,
     check_orbit_witness,
     check_unital,
     hamming,
-    mutate_certificate,
     verify_certificate,
 )
 from soficert.permutations import compose, identity_perm, inverse
@@ -289,7 +287,7 @@ def test_each_mutation_kind_kills_with_expected_clause():
 
 
 def test_battery_counts_schema_mutants_as_killed():
-    from soficert.cli import mutation_battery
+    from soficert.harness import mutation_battery
 
     battery = mutation_battery([base_cert()], 60, seed=1)
     assert all(r["killed"] for r in battery)
