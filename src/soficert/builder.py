@@ -56,7 +56,7 @@ from .actions import (
     separation_targets,
 )
 from .certificate import Certificate, OrbitWitness, SoficApproximation
-from .permutations import compose, identity_perm, inverse, order_bound
+from .permutations import BYTES_DEGREE_MAX, byte_table, compose, identity_perm, inverse, order_bound
 from .stallings import (
     DEFAULT_CORE_CAP,
     CoreTooLargeError,
@@ -126,16 +126,24 @@ def orbit_witness(
     B -> B is ``seed(t)``; the step from s to phi(g)s sets
     row(phi(g)s) = row(s) . g_B^-1, which is the equivariance identity
     itself.  A point keeps only its row's entries at ``labels``; a full
-    row lives only while its point is queued.  Both products are gathers
-    built before the walk.
+    row lives only while its point is queued.  Both products are built
+    before the walk.  For |B| at most ``BYTES_DEGREE_MAX`` a queued row
+    is its byte table, and row . g_B^-1 is one ``translate`` of g_B^-1's
+    byte table by it; above, a row is a tuple and the move an
+    ``itemgetter`` gather.  Either way E's labels are picked by a gather,
+    which gives a tuple of ints from bytes as from a tuple.
     """
-    steps = [(image, _gather(inverse(p))) for image, p in zip(images, b_images)]
+    if len(b_images[0]) <= BYTES_DEGREE_MAX:
+        encode, moves = byte_table, [byte_table(inverse(p)).translate for p in b_images]
+    else:
+        encode, moves = tuple, [itemgetter(*inverse(p)) for p in b_images]
+    steps = list(zip(images, moves))
     pick = _gather(labels)
     pi: list = [None] * len(images[0])
     for t in range(len(pi)):
         if pi[t] is not None:
             continue
-        row = seed(t)
+        row = encode(seed(t))
         pi[t] = pick(row)
         queue = deque([(t, row)])
         take, put = queue.popleft, queue.append
@@ -171,7 +179,7 @@ def finite_index_witness(
         images = tuple(tuple(index[compose(g, s)] for s in carrier) for g in gen_actions)
     elif strategy == "core":
         group = image_group(table.images, n, core_cap)
-        carrier = group.elements
+        carrier = group.encoded
         images = group.moves[table.rank:]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -209,6 +217,9 @@ def _separating_quotient(
     exact.  At a higher rank the search may stop early: it then returns
     the least order among the tuples it reached, or, if none separated,
     goes on to the next degree.
+
+    The search runs on a table of the degree's products, made once per
+    degree with one ``bytes.translate`` for each product.
     """
 
     def quotient(table: CosetTable, route: str):
@@ -236,9 +247,10 @@ def _separating_quotient(
 
     for degree in range(2, QUOTIENT_DEGREE_MAX + 1):
         perms = sorted(itertools.permutations(range(degree)))
-        index = {p: i for i, p in enumerate(perms)}
+        encoded = list(map(bytes, perms))
+        index = {p: i for i, p in enumerate(encoded)}
         # mul[i][j] is the index of perms[i] . perms[j]
-        mul = [[index[compose(p, q)] for q in perms] for p in perms]
+        mul = [[index[q.translate(table)] for q in encoded] for table in map(byte_table, perms)]
         inv = [row.index(0) for row in mul]
         steps: list = [None] * (2 * rank)
         combo: list[int] = []

@@ -94,19 +94,31 @@ class CertificateFormatError(ValueError):
     """Schema-level problem in a certificate file; names the failing field."""
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
+def _fields(cert: Certificate) -> dict:
+    """Every field of the file, its arrays the certificate's own tuples,
+    which ``json`` writes as it writes lists."""
     return {
         "action": action_to_json(cert.action),
         "F": [element_text(g) for g in cert.F],
         "E": [x.text() for x in cert.E],
         "epsilon": str(cert.epsilon),
         "carrier_size": cert.approx.size,
-        "generator_images": [list(img) for img in cert.approx.images],
-        "S": list(cert.witness.s_points),
-        "B": list(cert.witness.b_labels),
-        "pi": [list(row) for row in cert.witness.pi],
+        "generator_images": cert.approx.images,
+        "S": cert.witness.s_points,
+        "B": cert.witness.b_labels,
+        "pi": cert.witness.pi,
         "provenance": dict(cert.provenance),
     }
+
+
+def certificate_to_dict(cert: Certificate) -> dict:
+    """The file's JSON object, its arrays fresh lists that a caller may change."""
+    data = _fields(cert)
+    for key in ("S", "B"):
+        data[key] = list(data[key])
+    for key in ("generator_images", "pi"):
+        data[key] = [list(row) for row in data[key]]
+    return data
 
 
 def _create_beside(path: str) -> tuple[str, int]:
@@ -129,7 +141,7 @@ def write_certificate(cert: Certificate, path: str) -> None:
     encoder only without ``indent``; readers take any layout.  The file
     is written beside ``path`` and renamed over it; if the write or the
     rename fails, the temporary file is removed and the error raised."""
-    data = certificate_to_dict(cert)
+    data = _fields(cert)
     lines = (f"{json.dumps(key)}: {json.dumps(data[key], separators=(',', ':'), sort_keys=True)}"
              for key in sorted(data))
     payload = "{\n" + ",\n".join(lines) + "\n}\n"

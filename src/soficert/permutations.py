@@ -1,4 +1,9 @@
-"""Tiny helpers for permutations stored as tuples: p[i] = image of i."""
+"""Tiny helpers for permutations stored as tuples: p[i] = image of i.
+
+The builder's inner loops store a permutation of at most
+``BYTES_DEGREE_MAX`` points as ``bytes`` instead: then p . u is the one
+C call ``u.translate(byte_table(p))``, and a bytes key hashes once and is
+not tracked by the garbage collector."""
 
 from __future__ import annotations
 
@@ -19,6 +24,15 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     if len(q) > 1:
         return itemgetter(*q)(p)
     return (p[q[0]],) if q else ()
+
+
+BYTES_DEGREE_MAX = 256
+
+
+def byte_table(p: Sequence[int]) -> bytes:
+    """``p`` padded with the identity to 256 entries, a ``bytes.translate``
+    table: ``u.translate(byte_table(p))`` is p . u for a bytes ``u``."""
+    return bytes(p) + bytes(range(len(p), 256))
 
 
 def inverse(p: Sequence[int]) -> tuple[int, ...]:

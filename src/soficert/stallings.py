@@ -27,10 +27,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
-from .permutations import compose, identity_perm, inverse, order_bound
+from .permutations import BYTES_DEGREE_MAX, byte_table, compose, identity_perm, inverse, order_bound
 from .words import Word, invert
 
 DEFAULT_CORE_CAP = 10**6
@@ -331,22 +331,27 @@ class ImageGroup:
     """A permutation group listed by its closure, with the closure's moves.
 
     The steps are the generators, then their inverses; ``moves[k][i]``
-    is the index in ``elements`` of step k composed after element i, so
+    is the index in ``encoded`` of step k composed after element i, so
     a move row is the group's left-multiplication action by that step.
-    ``len`` is the group order.  A plain class: a dataclass would add
-    about a millisecond to every import of the package.
+    ``encoded`` holds the elements as the closure stored them: bytes on
+    at most ``BYTES_DEGREE_MAX`` points, tuples above; ``elements``
+    decodes them to tuples on first read.  ``len`` is the group order.
+    A plain class: a dataclass would add about a millisecond to every
+    import of the package.
     """
 
-    __slots__ = ("elements", "moves")
-
     def __init__(
-        self, elements: tuple[tuple[int, ...], ...], moves: tuple[tuple[int, ...], ...]
+        self, encoded: tuple[Sequence[int], ...], moves: tuple[tuple[int, ...], ...]
     ) -> None:
-        self.elements = elements
+        self.encoded = encoded
         self.moves = moves
 
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.encoded))
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.encoded)
 
 
 def image_group(
@@ -358,8 +363,10 @@ def image_group(
     index of every product the closure forms.
 
     The group is sized by a Schreier-Sims chain first; one of order
-    above ``cap`` is refused before any element is listed.  Each element
-    u is one ``itemgetter`` gather, applied to every step p to give p . u.
+    above ``cap`` is refused before any element is listed.  On at most
+    ``BYTES_DEGREE_MAX`` points an element u is bytes and p . u is
+    ``u.translate`` of p's byte table; above, u is a tuple and one
+    ``itemgetter`` gather, applied to every step p, gives p . u.
     """
     order = order_bound(generators, degree, cap)
     if order > cap:
@@ -367,25 +374,25 @@ def image_group(
             f"image group exceeds cap {cap} on {degree} points (order at least {order})"
         )
     steps = list(generators) + [inverse(p) for p in generators]
-    first = identity_perm(degree)
+    if degree <= BYTES_DEGREE_MAX:
+        first, product = bytes(range(degree)), attrgetter("translate")
+        steps = [byte_table(p) for p in steps]
+    else:
+        first, product = identity_perm(degree), lambda u: itemgetter(*u)
     index = {first: 0}
     elements = [first]
     moves: list[list[int]] = [[] for _ in steps]
-    if degree > 1:
-        find, discover = index.get, elements.append
-        records = [(p, row.append) for p, row in zip(steps, moves)]
-        for u in elements:  # the list grows while it is walked
-            gather = itemgetter(*u)
-            for p, record in records:
-                v = gather(p)
-                i = find(v)
-                if i is None:
-                    i = index[v] = len(elements)
-                    discover(v)
-                record(i)
-    else:  # the trivial group; itemgetter cannot gather 0 or 1 points into a tuple
-        for row in moves:
-            row.append(0)
+    find, discover = index.get, elements.append
+    records = [(p, row.append) for p, row in zip(steps, moves)]
+    for u in elements:  # the list grows while it is walked
+        after = product(u)
+        for p, record in records:
+            v = after(p)
+            i = find(v)
+            if i is None:
+                i = index[v] = len(elements)
+                discover(v)
+            record(i)
     if len(elements) != order:
         raise AssertionError(f"closure has {len(elements)} elements, stabilizer chain {order}")
     return ImageGroup(tuple(elements), tuple(map(tuple, moves)))

@@ -668,6 +668,20 @@ PINNED_BIREGULAR = ("afb9966c778741d22c75ef728b58086a384542f98f443c152b4d2234ef4
                     "2ee9da1eb5d4b63ce9a5a39ca11b4a2eb16ea62a75f4b2d0f5bf965eaae3fec6")
 PINNED_CONJ_DEMO = ("b0e0d60755a0aafd173d034ab08071661491838dcbe1711d0194f6bda6609986",
                     "a1742b50472f35f1f3aac5b14d0ed29a02e5a7525337dd0db824e048e7ce3723")
+# the two jobs of the benchmark's large-carrier workload: the 40 320-point
+# core carrier of <aabb> and the biregular radius-2 ball's 3 600 points
+PINNED_LARGE = [
+    ({"action": {"kind": "coset", "rank": 2, "subgroup": ["aabb"]},
+      "F": ["a", "b", "ab", "ba", "aB"], "E": ["1", "a", "b"]},
+     ("eacc89c0b391a06c3345360364baef590d3e68b966e7a8e359e00201153dfd3a",
+      "b9c26568bb77f7398420079e0077dd9e96c2cc39923506f3c6b8e2ea54c90534")),
+    ({"action": {"kind": "biregular", "rank": 2},
+      "F": [["a", "1"], ["b", "1"], ["1", "a"], ["1", "b"]],
+      "E": ["1", "a", "b", "A", "B", "aa", "ab", "aB", "ba", "bb", "bA", "Ab", "AA", "AB",
+            "Ba", "BA", "BB"]},
+     ("a0f559674769ff47df36c164bc002b583861127c1a2dc7fd4d54ccae0d2cff76",
+      "a59233dfcd0ee6931a50ccd4579031d92a5bd91691a3c05d8ec21084408f92f0")),
+]
 
 
 def certificate_shas(path):
@@ -716,3 +730,8 @@ def test_certificate_bytes_are_pinned(tmp_path):
     out = tmp_path / "conj.json"
     assert main(["conj-demo", "--out", str(out)]) == 0
     assert certificate_shas(out) == PINNED_CONJ_DEMO
+
+
+def test_large_carrier_bytes_are_pinned(tmp_path):
+    for job, shas in PINNED_LARGE:
+        assert built_shas(tmp_path, job) == shas, job["action"]

@@ -6,9 +6,11 @@ verbatim as references, with the ``compose`` they called.  The new
 closure must list the same elements in the same order, and each move
 row must be the step composed after every element; the new walk must
 fill the same rows, at one label and on a one-label B too, where
-``itemgetter`` cannot be used as a gather.
+``itemgetter`` cannot be used as a gather.  Both must do so on either
+side of the 256 points up to which they store permutations as bytes.
 """
 
+import random
 from collections import deque
 
 import pytest
@@ -83,12 +85,20 @@ def _reference_orbit_witness(images, b_images, labels, seed):
 # the closure
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, None])
+def _dihedral(n):
+    """A rotation and a reflection of n points, which generate a group of order 2n."""
+    return [tuple((i + 1) % n for i in range(n)), tuple(-i % n for i in range(n))]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, None, 256, 257])
 @given(data=st.data())
 def test_closure_matches_reference_and_moves_are_products(degree, data):
-    # degrees 0 and 1 are the trivial group, which the closure spells out
+    # degrees 0 and 1 are the trivial group; up to 256 points the closure
+    # stores bytes and above it tuples, so the two largest degrees draw
+    # from dihedral generators to keep the reference closure small
     n = data.draw(st.integers(3, 7)) if degree is None else degree
-    gens = [tuple(p) for p in data.draw(st.lists(st.permutations(range(n)), max_size=3))]
+    perms = st.sampled_from(_dihedral(n)) if n > 7 else st.permutations(range(n))
+    gens = [tuple(p) for p in data.draw(st.lists(perms, max_size=3))]
     group = image_group(gens, n)
     assert list(group.elements) == _reference_image_group(gens, n)
     assert len(group) == len(group.elements) == order_bound(gens, n)
@@ -127,17 +137,25 @@ def test_core_build_reads_images_off_the_closure(monkeypatch):
 # the witness walk
 
 
-@pytest.mark.parametrize("b_size, e_size", [(1, 1), (3, 1), (4, 2), (5, 5)])
+@pytest.mark.parametrize("b_size, e_size",
+                         [(1, 1), (3, 1), (4, 2), (5, 5), (256, 3), (256, 256), (257, 1), (257, 4)])
 @given(data=st.data())
 def test_orbit_witness_matches_per_step_compose(b_size, e_size, data):
     # any rows will do: both walks visit the points in the same order and
-    # apply the same products, consistent or not
+    # apply the same products, consistent or not.  Up to 256 labels a row
+    # is bytes and above it a tuple; the wide rows are shuffled from a
+    # drawn seed, which takes a tenth of the time of drawing every swap
     n = data.draw(st.integers(1, 8))
     rank = data.draw(st.integers(1, 3))
+    if b_size > 8:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        b_perm = lambda: tuple(rng.sample(range(b_size), b_size))
+    else:
+        b_perm = lambda: tuple(data.draw(st.permutations(range(b_size))))
     images = [tuple(data.draw(st.permutations(range(n)))) for _ in range(rank)]
-    b_images = [tuple(data.draw(st.permutations(range(b_size)))) for _ in range(rank)]
-    labels = data.draw(st.permutations(range(b_size)))[:e_size]
-    rows = [tuple(data.draw(st.permutations(range(b_size)))) for _ in range(n)]
+    b_images = [b_perm() for _ in range(rank)]
+    labels = b_perm()[:e_size]
+    rows = [b_perm() for _ in range(n)]
     args = (images, b_images, labels, rows.__getitem__)
     built = orbit_witness(*args)
     assert built == _reference_orbit_witness(*args)
