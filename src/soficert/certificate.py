@@ -17,7 +17,7 @@ import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .actions import (
     ActionSpec, BiregularAction, GroupElement, acting_rank, action_from_json, action_to_json,
@@ -44,22 +44,58 @@ class SoficApproximation:
             raise ValueError(f"expected {expected} generator images, got {len(self.images)}")
 
     @cached_property
-    def inverse_images(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(inverse(img) for img in self.images)
+    def inverse_images(self) -> list[tuple[int, ...] | None]:
+        """The inverse of each generator image, computed when a letter
+        first needs it."""
+        return [None] * len(self.images)
 
-    def _eval_word(self, w: Word, offset: int) -> tuple[int, ...]:
-        perm = None
-        for l in w.letters:
-            i = offset + abs(l) - 1
-            image = self.images[i] if l > 0 else self.inverse_images[i]
-            perm = tuple(image) if perm is None else compose(perm, image)
-        return identity_perm(self.size) if perm is None else perm
+    def _letter_image(self, letter: int) -> tuple[int, ...]:
+        """phi of one letter: +-(i + 1) stands for image i or its inverse."""
+        i = abs(letter) - 1
+        if letter > 0:
+            return self.images[i]
+        if self.inverse_images[i] is None:
+            self.inverse_images[i] = inverse(self.images[i])
+        return self.inverse_images[i]
+
+    def _letters(self, g: GroupElement) -> tuple[int, ...]:
+        """g's letters; a pair's right word follows its left one, each
+        letter shifted by ``rank`` to name the right-factor images."""
+        if isinstance(g, tuple):
+            left, right = g
+            shift = self.rank
+            return left.letters + tuple(l + shift if l > 0 else l - shift for l in right.letters)
+        return g.letters
+
+    def permutations_of(
+        self, elements: Sequence[GroupElement]
+    ) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(i, phi(elements[i])) for each i, in the sorted order of the
+        elements' letter sequences.
+
+        phi of a sequence is the left fold of its letters' images under
+        ``compose``, phi of the empty one the identity.  Sorted, the
+        sequences that share a prefix come together, so the fold runs
+        along one chain of prefixes and each prefix is composed once;
+        only that chain is held."""
+        keyed = sorted((self._letters(g), i) for i, g in enumerate(elements))
+        path: tuple[int, ...] = ()
+        chain: list[tuple[int, ...]] = []  # chain[k] is phi(path[:k + 1])
+        for letters, i in keyed:
+            # cut the chain back to the longest prefix it shares with letters
+            del chain[len(letters):]
+            while path[:len(chain)] != letters[:len(chain)]:
+                chain.pop()
+            for l in letters[len(chain):]:
+                image = self._letter_image(l)
+                chain.append(compose(chain[-1], image) if chain else image)
+            path = letters
+            yield i, chain[-1] if chain else identity_perm(self.size)
 
     def permutation_of(self, g: GroupElement) -> tuple[int, ...]:
         """phi(g), composing generator images (left factor then right for pairs)."""
-        if isinstance(g, tuple):
-            return compose(self._eval_word(g[0], 0), self._eval_word(g[1], self.rank))
-        return self._eval_word(g, 0)
+        [(_, perm)] = self.permutations_of([g])
+        return perm
 
 
 @dataclass(frozen=True)
@@ -275,10 +311,10 @@ def certificate_from_dict(data: dict) -> Certificate:
 
 def load_certificate(path: str) -> Certificate:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise CertificateFormatError(f"file: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CertificateFormatError(f"json: {exc}") from exc
     return certificate_from_dict(data)

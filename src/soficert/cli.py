@@ -142,7 +142,7 @@ def _write(cert: Certificate, out: str) -> bool:
 
 def cmd_approx(args) -> int:
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
         job = job_from_dict(data)
         if args.strategy:

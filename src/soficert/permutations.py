@@ -43,7 +43,8 @@ def inverse(p: Sequence[int]) -> tuple[int, ...]:
 
 
 def is_permutation(p: Sequence[int], n: int) -> bool:
-    return len(p) == n and sorted(p) == list(range(n))
+    """Whether ``p`` lists 0..n-1 once each: n entries that cover range(n)."""
+    return len(p) == n and set(p).issuperset(range(n))
 
 
 class _Level:

@@ -54,19 +54,30 @@ def check_unital(approx: SoficApproximation) -> bool:
     return image == identity_perm(approx.size)
 
 
-def check_multiplicative(approx: SoficApproximation, F: Sequence) -> Fraction:
+def _images_of(approx: SoficApproximation, F: Sequence) -> list[tuple[int, ...]]:
+    """phi(g) for each g in F, in F's order."""
+    images = dict(approx.permutations_of(F))
+    return [images[i] for i in range(len(F))]
+
+
+def check_multiplicative(
+    approx: SoficApproximation, F: Sequence, images: Sequence | None = None
+) -> Fraction:
     """Max defect d(phi(gh), phi(g) . phi(h)) over (g, h) in F x F; 0 when F is empty.
 
-    phi(gh) is evaluated from the generator images for every pair; the
-    distance is counted only where the two arrays differ."""
+    ``images`` is phi of F when the caller has it.  phi(gh) is evaluated
+    from the generator images for every pair, each prefix of the
+    products' letters composed once; the distance is counted only where
+    phi(gh) and phi(g) . phi(h) differ."""
+    if images is None:
+        images = _images_of(approx, F)
+    n = len(F)
     worst = Fraction(0)
-    images = [approx.permutation_of(g) for g in F]
-    for g, pg in zip(F, images):
-        for h, ph in zip(F, images):
-            direct = approx.permutation_of(element_multiply(g, h))
-            product = compose(pg, ph)
-            if direct != product:
-                worst = max(worst, hamming(direct, product))
+    products = [element_multiply(g, h) for g in F for h in F]
+    for k, direct in approx.permutations_of(products):
+        product = compose(images[k // n], images[k % n])
+        if direct != product:
+            worst = max(worst, hamming(direct, product))
     return worst
 
 
@@ -86,6 +97,7 @@ def check_orbit_witness(
     E: Sequence[Word],
     witness: OrbitWitness,
     epsilon: Fraction,
+    images: Sequence | None = None,
 ) -> OrbitCheck:
     """Cardinality, injectivity and equivariance clauses of the witness.
 
@@ -93,6 +105,7 @@ def check_orbit_witness(
     produced it, in (g, s, x) order.  Equivariance is checked a column
     pair at a time: column x of pi, gathered through phi(g), must equal
     column g^-1.x; only a pair that differs is walked point by point.
+    ``images`` is phi of F when the caller has it.
     """
     size = approx.size
     s_list = list(witness.s_points)
@@ -116,8 +129,9 @@ def check_orbit_witness(
     e_index = {x.letters: i for i, x in enumerate(E)}
     equivariance_failures = []
     triples = 0
-    for g in F:
-        perm = approx.permutation_of(g)
+    if images is None:
+        images = _images_of(approx, F)
+    for g, perm in zip(F, images):
         g_inv = element_invert(g)
         col_map = {}
         for i, x in enumerate(E):
@@ -260,8 +274,10 @@ def verify_certificate(source, epsilon: Fraction | None = None) -> VerificationR
         if not is_permutation(arr, cert.approx.size):
             permutation_failures.append(f"generator image {i} is not a permutation")
     unital = check_unital(cert.approx)
-    defect = check_multiplicative(cert.approx, cert.F)
-    orbit = check_orbit_witness(cert.action, cert.approx, cert.F, cert.E, cert.witness, eps)
+    images = _images_of(cert.approx, cert.F)
+    defect = check_multiplicative(cert.approx, cert.F, images)
+    orbit = check_orbit_witness(cert.action, cert.approx, cert.F, cert.E, cert.witness, eps,
+                                images)
     return VerificationReport(
         eps, cert.approx.size, tuple(permutation_failures), unital, defect, orbit
     )

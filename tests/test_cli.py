@@ -100,6 +100,16 @@ def test_approx_config_errors_exit_2(tmp_path, capsys):
     assert main(["approx", "--config", cfg]) == 2
 
 
+def test_approx_non_utf8_config_exits_2(tmp_path, capsys):
+    # a config is read as UTF-8 whatever the locale, and bytes that are
+    # not UTF-8 are a config error, not a traceback
+    cfg = tmp_path / "job.json"
+    cfg.write_bytes(b"\xff\xfe")
+    assert main(["approx", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]: ") and "utf-8" in err
+
+
 @pytest.mark.parametrize("value", [1.5, True, "x"])
 def test_approx_rejects_non_integer_cap(tmp_path, capsys, value):
     cfg = write_job(tmp_path, {**COSET_JOB, "caps": {"core_cap": value}})
@@ -233,6 +243,24 @@ def test_verify_schema_and_file_errors_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["verify", str(bad)]) == 2
     assert "carrier_size" in capsys.readouterr().err
+
+
+def test_verify_non_utf8_file_exits_2(tmp_path, capsys):
+    # undecodable bytes are a malformed file (exit 2), not the rejection
+    # code 1 that an uncaught decode error used to exit with
+    bad = tmp_path / "cert.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [schema]: json: ") and "utf-8" in err
+
+    # a certificate is read as UTF-8 whatever the locale
+    data = json.loads(open(built_cert_path(tmp_path)).read())
+    data["provenance"]["note"] = "Schreier–Sims, π"
+    good = tmp_path / "utf8.json"
+    good.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+    capsys.readouterr()
+    assert main(["verify", str(good)]) == 0
 
 
 # certificates whose every carrier entry, S entry, label and pi entry is 0 or 1

@@ -8,6 +8,8 @@ row must be the step composed after every element; the new walk must
 fill the same rows, at one label and on a one-label B too, where
 ``itemgetter`` cannot be used as a gather.  Both must do so on either
 side of the 256 points up to which they store permutations as bytes.
+Building and verifying the 40 320-point aabb-f5 certificate must stay
+within a count of compositions.
 """
 
 import random
@@ -18,10 +20,12 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 import soficert.builder as builder
+import soficert.certificate as certificate
 import soficert.permutations as permutations
 import soficert.stallings as stallings
-from soficert.actions import CosetAction, canonical_point, separation_targets
-from soficert.builder import finite_index_witness, orbit_witness
+import soficert.verifier as verifier
+from soficert.actions import CosetAction, act, canonical_point, separation_targets
+from soficert.builder import approximate, finite_index_witness, orbit_witness
 from soficert.certificate import OrbitWitness
 from soficert.permutations import compose, identity_perm, inverse, order_bound
 from soficert.stallings import (
@@ -31,6 +35,7 @@ from soficert.stallings import (
     image_group,
     left_coset_of,
 )
+from soficert.verifier import verify_certificate
 from soficert.words import parse_word
 
 # ---------------------------------------------------------------------------
@@ -131,6 +136,37 @@ def test_core_build_reads_images_off_the_closure(monkeypatch):
     approx, witness = finite_index_witness(table, labels, "core", DEFAULT_CORE_CAP)
     assert approx.size == len(witness.pi) == 40320
     assert calls < 10**4
+
+
+def test_verify_composes_each_prefix_once(monkeypatch):
+    # the aabb-f5 certificate again: phi of F and of F.F each compose a
+    # distinct prefix of length >= 2 once, then every pair (g, h) is one
+    # product and every equivariance column pair one gather.  Evaluating
+    # phi(gh) from scratch for every pair took 85 calls
+    w = lambda t: parse_word(t, 2)
+    spec = CosetAction(2, (w("aabb"),))
+    F = [w(t) for t in ("a", "b", "ab", "ba", "aB")]
+    E = [w(t) for t in ("1", "a", "b")]
+    cert = approximate(spec, F, E)
+
+    def prefixes(words):
+        return {g.letters[:k] for g in words for k in range(2, len(g) + 1)}
+
+    e_points = {x.letters for x in cert.E}
+    gathers = sum(act(spec, ~g, x).letters in e_points for g in F for x in cert.E)
+    budget = len(prefixes(F)) + len(prefixes([g * h for g in F for h in F])) + len(F) ** 2 + gathers
+    calls = 0
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return compose(p, q)
+
+    for module in (certificate, verifier):
+        monkeypatch.setattr(module, "compose", counted)
+    report = verify_certificate(cert)
+    assert report.accepted and cert.approx.size == len(cert.witness.s_points) == 40320
+    assert calls == budget == 3 + 22 + 25 + 3
 
 
 # ---------------------------------------------------------------------------

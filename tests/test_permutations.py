@@ -1,5 +1,7 @@
 """Group orders from the Schreier-Sims chain against the closure that
-lists the group, and refusal of over-cap groups before enumeration."""
+lists the group, refusal of over-cap groups before enumeration, and the
+gather and set-cover forms of ``compose`` and ``is_permutation`` against
+the plain Python they replaced."""
 
 import pytest
 import hypothesis.strategies as st
@@ -9,7 +11,7 @@ import soficert.permutations as permutations
 import soficert.stallings as stallings
 from soficert.actions import CosetAction, canonical_point, separation_targets
 from soficert.builder import StageError, approximate
-from soficert.permutations import compose, identity_perm, order_bound
+from soficert.permutations import compose, identity_perm, is_permutation, order_bound
 from soficert.stallings import CoreTooLargeError, hall_completion, image_group
 from soficert.words import parse_word
 from test_acceptance import FIXTURES
@@ -115,3 +117,40 @@ def test_compose_is_the_generator_expression(degree, data):
     for left, right in ((tuple(p), tuple(q)), (list(p), q)):
         got = compose(left, right)
         assert type(got) is tuple and got == expected
+
+
+def equal_entry(x):
+    """An entry equal to index x that is not the int x: a bool or a float."""
+    return bool(x) if x in (0, 1) else float(x)
+
+
+@given(data=st.data())
+def test_is_permutation_is_the_sorted_test(data):
+    # n entries that cover range(n) are a permutation of it; drawn from a
+    # permutation with entries swapped for equal bools and floats, then
+    # perhaps given a duplicate, an out-of-range or negative entry, one
+    # entry too few or one too many
+    n = data.draw(st.integers(0, 6))
+    p = data.draw(st.permutations(range(n)))
+    p = [equal_entry(x) if data.draw(st.booleans()) else x for x in p]
+    change = data.draw(st.sampled_from(["none", "duplicate", "out", "short", "long"]))
+    if change == "duplicate" and n >= 2:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        p[i] = p[j]
+    elif change == "out" and n:
+        p[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([-1, n, n + 3, float(n), -0.5]))
+    elif change == "short" and n:
+        del p[data.draw(st.integers(0, n - 1))]
+    elif change == "long":
+        p.append(data.draw(st.one_of(st.integers(-1, n + 1), st.booleans())))
+    expected = sorted(p) == list(range(n))
+    assert is_permutation(p, n) == expected
+    assert is_permutation(tuple(p), n) == expected
+
+
+def test_is_permutation_edge_cases():
+    assert is_permutation([], 0) and is_permutation((), 0)
+    assert is_permutation([True, False], 2) and is_permutation([1.0, 0], 2)
+    assert not is_permutation([0, 0], 2) and not is_permutation([-1, 0], 2)
+    assert not is_permutation([0, 2], 2) and not is_permutation([0, 1, 2], 2)
+    assert not is_permutation([0], 2) and not is_permutation([0], 0)

@@ -221,7 +221,9 @@ def w2(t):
     return parse_word(t, 2)
 
 
-BASES = ["coset-a", "coset-aa-b", "coset-aba", "biregular", "conjugation"]
+BASES = ["coset-a", "coset-aa-b", "coset-aba", "coset-prefixes", "biregular", "biregular-letters",
+         "conjugation"]
+PRODUCT_BASES = ["biregular", "biregular-letters"]
 
 
 @lru_cache(maxsize=None)
@@ -235,8 +237,15 @@ def base_dict(name):
         cert = approximate(CosetAction(2, (w2("aa"), b)), F, [one, a])
     elif name == "coset-aba":
         cert = approximate(CosetAction(2, (w2("aba"),)), [a, b, w2("Ab")], [one, a, w2("ab")])
+    elif name == "coset-prefixes":
+        # shared prefixes, inverse letters, the identity and a repeat
+        F = [w2(t) for t in ("1", "a", "A", "ab", "abA", "Ba", "a")]
+        cert = approximate(CosetAction(2, (w2("aa"), w2("bb"))), F, [one, a, b])
     elif name == "biregular":
         F = [(a, one), (one, b), (w2("ab"), w2("B"))]
+        cert = approximate(BiregularAction(2), F, [one, a, b])
+    elif name == "biregular-letters":
+        F = [(a, one), (b, one), (one, a), (one, b)]
         cert = approximate(BiregularAction(2), F, [one, a, b])
     else:
         spec = RestrictedAction(BiregularAction(2), ((a, a), (b, b)))
@@ -262,6 +271,19 @@ def clause_mutant(data, rng):
         for _ in range(rng.randint(1, 4)):
             row = rng.choice(d["pi"])
             row[rng.randrange(len(row))] = rng.randrange(labels)
+    return d
+
+
+def product_mutant(data, rng):
+    """A copy of a product certificate with one right-factor image swapped
+    for another permutation: every image is still a permutation, but the
+    left and right images no longer commute."""
+    d = copy.deepcopy(data)
+    images, size = d["generator_images"], d["carrier_size"]
+    k = rng.randrange(len(images) // 2, len(images))
+    old = images[k]
+    while images[k] == old:
+        images[k] = rng.sample(range(size), size)
     return d
 
 
@@ -310,10 +332,7 @@ def outcome(parse, data):
 # equivalence
 
 
-@pytest.mark.parametrize("name", BASES)
-@given(rng=st.randoms(use_true_random=False))
-def test_clauses_match_reference_on_mutants(name, rng):
-    data = clause_mutant(base_dict(name), rng)
+def assert_clauses_match_reference(data):
     cert = certificate_from_dict(data)
     args = (cert.action, cert.approx, cert.F, cert.E, cert.witness, cert.epsilon)
     defect = _reference_check_multiplicative(cert.approx, cert.F)
@@ -323,6 +342,30 @@ def test_clauses_match_reference_on_mutants(name, rng):
     report = verify_certificate(data)
     assert report.max_defect == defect
     assert report.orbit == orbit
+
+
+@pytest.mark.parametrize("name", BASES)
+@given(rng=st.randoms(use_true_random=False))
+def test_clauses_match_reference_on_mutants(name, rng):
+    assert_clauses_match_reference(clause_mutant(base_dict(name), rng))
+
+
+@pytest.mark.parametrize("name", PRODUCT_BASES)
+@given(rng=st.randoms(use_true_random=False))
+def test_clauses_match_reference_on_product_mutants(name, rng):
+    assert_clauses_match_reference(product_mutant(base_dict(name), rng))
+
+
+def test_product_mutants_are_permutations_with_a_defect():
+    # every image stays a permutation, and within the first few seeds
+    # the defect is nonzero on each product base
+    for name in PRODUCT_BASES:
+        defects = []
+        for seed in range(10):
+            cert = certificate_from_dict(product_mutant(base_dict(name), random.Random(seed)))
+            assert all(sorted(img) == list(range(cert.approx.size)) for img in cert.approx.images)
+            defects.append(_reference_check_multiplicative(cert.approx, cert.F))
+        assert max(defects) > 0, name
 
 
 def test_clause_mutants_reach_every_branch():
