@@ -19,7 +19,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import stallings
 from .stallings import StallingsGraph, core_graph, coset_canonical_word
@@ -55,7 +55,7 @@ class BiregularAction:
         _check_rank(self.rank)
 
 
-GroupElement = Union[Word, tuple[Word, Word]]
+GroupElement = Word | tuple[Word, Word]
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class RestrictedAction:
             check_element(self.inner, g)
 
 
-ActionSpec = Union[CosetAction, BiregularAction, RestrictedAction]
+ActionSpec = CosetAction | BiregularAction | RestrictedAction
 
 
 @lru_cache(maxsize=None)

@@ -284,14 +284,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="soficert",
-        description="build and verify exact sofic-approximation certificates",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("approx", help="build a certificate from a job config")
+def _approx_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON job config path")
     p.add_argument("--out", help="certificate output path (overrides config)")
     p.add_argument("--strategy", choices=["core", "literal"],
@@ -299,20 +292,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="JSON summary")
     p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("verify", help="verify a certificate file")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("certificate", help="certificate path")
     p.add_argument("--epsilon", help="tolerance override, e.g. 1/10")
     p.add_argument("--json", action="store_true", help="JSON report")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("subgroup", help="inspect a subgroup graph / Hall separator")
+
+def _subgroup_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--gens", default="", help="comma-separated subgroup generators")
     p.add_argument("--avoid", help="comma-separated words the separator must exclude")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_subgroup)
 
-    p = sub.add_parser("conj-demo", help="certificate for the conjugation action")
+
+def _conj_demo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--f", default="a,b", help="comma-separated F words")
     p.add_argument("--e", default="1,a,b,baB", help="comma-separated E words")
@@ -320,16 +316,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_conj_demo)
 
-    p = sub.add_parser("fuzz", help="mutation and oracle harnesses")
+
+def _fuzz_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_positive_int, default=20, help="number of mutations")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fuzz)
+
+
+# subcommand -> (help text, function that adds its arguments)
+SUBCOMMANDS = {
+    "approx": ("build a certificate from a job config", _approx_arguments),
+    "verify": ("verify a certificate file", _verify_arguments),
+    "subgroup": ("inspect a subgroup graph / Hall separator", _subgroup_arguments),
+    "conj-demo": ("certificate for the conjugation action", _conj_demo_arguments),
+    "fuzz": ("mutation and oracle harnesses", _fuzz_arguments),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser of ``command`` only, or
+    with all of them when ``command`` names none.  A lone subparser gets
+    the metavar argparse would derive from all five, so usage lines stay
+    the same; the full parser sets none, which keeps the wording of the
+    "required" and "invalid choice" errors."""
+    parser = argparse.ArgumentParser(
+        prog="soficert",
+        description="build and verify exact sofic-approximation certificates",
+    )
+    if command in SUBCOMMANDS:
+        names, metavar = [command], "{" + ",".join(SUBCOMMANDS) + "}"
+    else:
+        names, metavar = list(SUBCOMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return args.func(args)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from soficert.certificate import certificate_from_dict, write_certificate
-from soficert.cli import job_from_dict, main
+from soficert.cli import SUBCOMMANDS, build_parser, job_from_dict, main
 from soficert.harness import oracle_agreement, oracle_cases
 
 COSET_JOB = {
@@ -599,6 +600,68 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
+# ---------------------------------------------------------------------------
+# parser construction: main() builds only the invoked subcommand's parser
+
+HELP_AND_ERROR_ARGVS = [
+    [],
+    ["-h"],
+    ["no-such-command"],
+    ["verif"],
+    *([name, "-h"] for name in SUBCOMMANDS),
+    ["approx"],
+    ["approx", "--config", "job.json", "--strategy", "greedy"],
+    ["subgroup", "--rank", "two"],
+    ["fuzz", "--cases", "0"],
+    ["verify", "cert.json", "extra.json"],
+    ["verify", "cert.json", "--no-such-option"],
+    ["--json", "verify", "cert.json"],
+]
+
+
+def full_parser_main(argv):
+    """``main`` as it ran when every call built all five subparsers."""
+    args = build_parser(None).parse_args(argv)
+    return args.func(args)
+
+
+def outcome(run, argv, capsys):
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", HELP_AND_ERROR_ARGVS, ids=" ".join)
+def test_help_and_errors_match_the_full_parser(monkeypatch, capsys, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    got = outcome(main, argv, capsys)
+    assert got == outcome(full_parser_main, argv, capsys)
+    assert got[0] in (0, 2) and (got[1] or got[2])
+
+
+@pytest.mark.parametrize("argv, subparsers", [
+    *(([name, "-h"], 1) for name in SUBCOMMANDS),
+    (["-h"], 5),
+    (["no-such-command"], 5),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_main_builds_only_the_invoked_subparser(monkeypatch, capsys, argv, subparsers):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert len(calls) == subparsers
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -614,6 +677,13 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     proc = run_python("-m", "soficert.cli", "verify", str(tmp_path / "missing.json"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error [schema]: file:")
+
+
+@pytest.mark.parametrize("argv", [["verify", "-h"], ["-h"]], ids=" ".join)
+def test_module_entry_point_reads_sys_argv_like_main(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = run_python("-m", "soficert.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == outcome(main, argv, capsys)
 
 
 @pytest.mark.parametrize("script", ["demo_pipeline.py", "separator_growth.py"])

@@ -2,9 +2,13 @@
 every imported name is used, every import is the standard library or
 soficert itself, every top-level function and class, and every method
 that is not a dunder, is used by the package or its scripts, and every
-parameter with a default is passed by some call in them."""
+parameter with a default is passed by some call in them.  Beside these,
+importing the package afresh must free its previous copy."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -181,3 +185,28 @@ def test_verifier_trusts_only_the_certificate_format_and_the_point_algebra():
     assert import_closure("verifier") == {
         "verifier", "certificate", "actions", "stallings", "permutations", "words"}
     assert import_closure("certificate").isdisjoint({"builder", "verifier", "harness", "cli"})
+
+
+# bench/run.py's import_soficert: drop every soficert entry of sys.modules
+# and import the CLI again
+REIMPORT = """
+import gc, importlib, json, sys, types
+for _ in range(5):
+    for name in [n for n in sys.modules if n == "soficert" or n.startswith("soficert.")]:
+        del sys.modules[name]
+    importlib.import_module("soficert.cli")
+gc.collect()
+print(json.dumps(sorted(m.__name__ for m in gc.get_objects() if isinstance(m, types.ModuleType)
+                        and (m.__name__ == "soficert" or m.__name__.startswith("soficert.")))))
+"""
+
+
+def test_reimporting_the_package_frees_the_old_modules():
+    # run in a fresh interpreter, so the suite's own copies stay in
+    # sys.modules; a module-level typing.Union, for one, is kept by
+    # typing's cache and holds the old module globals alive
+    proc = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = ["soficert"] + [f"soficert.{p.stem}" for p in MODULES if p.name != "__init__.py"]
+    assert json.loads(proc.stdout) == sorted(names)
