@@ -58,9 +58,10 @@ class SoficApproximation:
             self.inverse_images[i] = inverse(self.images[i])
         return self.inverse_images[i]
 
-    def _letters(self, g: GroupElement) -> tuple[int, ...]:
-        """g's letters; a pair's right word follows its left one, each
-        letter shifted by ``rank`` to name the right-factor images."""
+    def letters(self, g: GroupElement) -> tuple[int, ...]:
+        """g's letters, whose images phi folds; a pair's right word
+        follows its left one, each letter shifted by ``rank`` to name the
+        right-factor images."""
         if isinstance(g, tuple):
             left, right = g
             shift = self.rank
@@ -78,7 +79,7 @@ class SoficApproximation:
         sequences that share a prefix come together, so the fold runs
         along one chain of prefixes and each prefix is composed once;
         only that chain is held."""
-        keyed = sorted((self._letters(g), i) for i, g in enumerate(elements))
+        keyed = sorted((self.letters(g), i) for i, g in enumerate(elements))
         path: tuple[int, ...] = ()
         chain: list[tuple[int, ...]] = []  # chain[k] is phi(path[:k + 1])
         for letters, i in keyed:

@@ -9,7 +9,11 @@ with B labels checked as integers, which is all B may hold, and with
 every outside value in a message shortened by ``reprlib``.
 On built certificates and their mutants the two must agree field for
 field: every message and its order, ``triples_checked``, the defect,
-and the text of every ``CertificateFormatError``.
+and the text of every ``CertificateFormatError``.  The multiplicative
+clause composes only the pairs whose product's letters are not a
+concatenation; the lemma it rests on, that phi(gh) = phi(g) . phi(h)
+for every other pair whatever arrays the generators map to, is checked
+on its own.
 """
 
 import copy
@@ -49,7 +53,7 @@ from soficert.certificate import (
 )
 from soficert.permutations import identity_perm, inverse
 from soficert.verifier import OrbitCheck, check_multiplicative, check_orbit_witness, verify_certificate
-from soficert.words import parse_word
+from soficert.words import free_reduce, parse_word
 
 # ---------------------------------------------------------------------------
 # the references
@@ -368,12 +372,58 @@ def test_product_mutants_are_permutations_with_a_defect():
         assert max(defects) > 0, name
 
 
+def composes_a_pair(approx, F):
+    """Whether some (g, h) in F x F has a product whose letters are not
+    g's followed by h's, a pair the multiplicative clause composes."""
+    return any(approx.letters(element_multiply(g, h)) != approx.letters(g) + approx.letters(h)
+               for g in F for h in F)
+
+
+@st.composite
+def arrays_and_elements(draw):
+    """Generator arrays of either group kind with entries in range(n),
+    permutations or not, and a list F of short elements of the group,
+    drawn from few letters so that some products cancel."""
+    kind = draw(st.sampled_from(["free", "product"]))
+    rank = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 5))
+    arrays = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+    images = tuple(draw(arrays) for _ in range(rank if kind == "free" else 2 * rank))
+    letters = st.sampled_from([l for i in range(1, rank + 1) for l in (i, -i)])
+    words = st.lists(letters, max_size=3).map(lambda ls: free_reduce(ls, rank))
+    elements = words if kind == "free" else st.tuples(words, words)
+    return SoficApproximation(kind, rank, n, images), draw(st.lists(elements, max_size=4))
+
+
+@given(case=arrays_and_elements())
+def test_concatenated_letters_have_no_defect(case):
+    # phi is a fold of letter images and composition is associative on
+    # any arrays whose entries are in range, so a pair whose product's
+    # letters are g's followed by h's has defect 0 and need not be composed
+    approx, F = case
+    phi = [_reference_phi(approx, g) for g in F]
+    for g, pg in zip(F, phi):
+        for h, ph in zip(F, phi):
+            gh = element_multiply(g, h)
+            if approx.letters(gh) == approx.letters(g) + approx.letters(h):
+                assert _reference_phi(approx, gh) == _reference_compose(pg, ph)
+    assert check_multiplicative(approx, F) == _reference_check_multiplicative(approx, F)
+
+
 def test_clause_mutants_reach_every_branch():
     # the built certificate itself, positive epsilon with S != A,
     # non-permutation images and broken equivariance, on each base,
-    # within the first few seeds
+    # within the first few seeds; and a nonzero defect on each base with
+    # a pair that the multiplicative clause composes, so skipping those
+    # pairs would show
+    composing = set()
     for name in BASES:
         seen = set()
+        expected = {"built", "epsilon", "non-permutation", "equivariance"}
+        built = certificate_from_dict(base_dict(name))
+        if composes_a_pair(built.approx, built.F):
+            composing.add(name)
+            expected.add("defect")
         for seed in range(40):
             data = clause_mutant(base_dict(name), random.Random(seed))
             if data == base_dict(name):
@@ -386,7 +436,10 @@ def test_clause_mutants_reach_every_branch():
             if _reference_check_orbit_witness(cert.action, cert.approx, cert.F, cert.E,
                                               cert.witness, cert.epsilon).equivariance_failures:
                 seen.add("equivariance")
-        assert seen == {"built", "epsilon", "non-permutation", "equivariance"}, name
+            if _reference_check_multiplicative(cert.approx, cert.F) > 0:
+                seen.add("defect")
+        assert seen == expected, name
+    assert composing == {"coset-aa-b", "coset-aba", "coset-prefixes", *PRODUCT_BASES}
 
 
 @pytest.mark.parametrize("name", BASES)

@@ -152,6 +152,23 @@ def test_witness_clause_failures_are_named():
     assert report.first_failure == "cardinality"
 
 
+def test_injectivity_reports_each_repeating_row_in_file_order():
+    # rows 0 and 3 are the same non-injective row and row 2 another, with
+    # injective rows between them: the clause tests each distinct row
+    # once, yet must name every position once, in file order, with the
+    # first repeated entry of its row, as a test of every row does
+    cert = approximate(COSET_A, F_AB, [w2(""), w2("b"), w2("bb")])
+    data = certificate_to_dict(cert)
+    data["pi"] = [[4, 1, 1], [0, 2, 4], [0, 3, 0], [4, 1, 1], [2, 4, 3]]
+    report = verify_certificate(data)
+    per_row = [f"pi at s={s} repeats B index {next(v for v in row if row.count(v) > 1)}"
+               for s, row in zip(data["S"], data["pi"]) if len(set(row)) < len(row)]
+    assert report.first_failure == "injectivity"
+    assert list(report.orbit.injectivity_failures) == per_row == [
+        "pi at s=0 repeats B index 1", "pi at s=2 repeats B index 0", "pi at s=3 repeats B index 1"]
+    assert report.to_json_dict()["violations"]["injectivity"] == per_row
+
+
 def test_equivariance_failure_names_triple():
     cert = base_cert()
     data = certificate_to_dict(cert)
