@@ -35,11 +35,9 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import reprlib
 from collections import deque
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .actions import (
@@ -51,18 +49,16 @@ from .actions import (
     apply_images,
     canonical_point,
     check_element,
-    element_text,
     pairwise_differences,
     separation_targets,
 )
 from .certificate import Certificate, OrbitWitness, SoficApproximation
-from .permutations import BYTES_DEGREE_MAX, byte_table, compose, identity_perm, inverse, order_bound
+from .permutations import BYTES_DEGREE_MAX, _gather, byte_table, compose, identity_perm, inverse, order_bound
 from .stallings import (
     DEFAULT_CORE_CAP,
     CoreTooLargeError,
     CosetTable,
     ImageGroup,
-    action_permutation,
     core_graph,
     coset_of,
     hall_completion,
@@ -102,15 +98,6 @@ class StageError(RuntimeError):
 # the one witness routine and the constructions that feed it
 
 
-def _gather(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """x -> (x[i] for i in indices) as a tuple, built once for many x.
-    ``itemgetter`` returns a bare item for one index and cannot be built
-    from none, so those lengths get a generator expression."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda x: tuple(x[i] for i in indices)
-
-
 def orbit_witness(
     images: Sequence[Sequence[int]],
     b_images: Sequence[Sequence[int]],
@@ -129,14 +116,14 @@ def orbit_witness(
     row lives only while its point is queued.  Both products are built
     before the walk.  For |B| at most ``BYTES_DEGREE_MAX`` a queued row
     is its byte table, and row . g_B^-1 is one ``translate`` of g_B^-1's
-    byte table by it; above, a row is a tuple and the move an
-    ``itemgetter`` gather.  Either way E's labels are picked by a gather,
-    which gives a tuple of ints from bytes as from a tuple.
+    byte table by it; above, a row is a tuple and the move a gather.
+    Either way E's labels are picked by a gather, which gives a tuple of
+    ints from bytes as from a tuple.
     """
     if len(b_images[0]) <= BYTES_DEGREE_MAX:
         encode, moves = byte_table, [byte_table(inverse(p)).translate for p in b_images]
     else:
-        encode, moves = tuple, [itemgetter(*inverse(p)) for p in b_images]
+        encode, moves = tuple, [_gather(inverse(p)) for p in b_images]
     steps = list(zip(images, moves))
     pick = _gather(labels)
     pi: list = [None] * len(images[0])
@@ -192,8 +179,10 @@ def _separating_quotient(
 ) -> tuple[CosetTable, ImageGroup, str]:
     """Finite quotient of F_rank where every target survives.
 
-    The quotient map sends w to ``action_permutation(table, w)``; returns
-    the table, the group its walks generate and the route that found it.
+    The quotient map sends w to its left multiplication of the table's
+    cosets: the fold of its letters' images, generator i moving the cosets
+    by ``table.inverses[i]``.  Returns the table, the group its walks
+    generate and the route that found it.
     First tries the normal core of a Hall completion separating the
     targets.  If its image group is above ``QUOTIENT_ORDER_MAX``, searches
     the generator tuples of degree 2 to ``QUOTIENT_DEGREE_MAX`` depth
@@ -336,7 +325,9 @@ def biregular_approximation(
     elements = group.elements
     m = len(elements)
     index = {p: i for i, p in enumerate(elements)}
-    e_labels = [index[action_permutation(table, x)] for x in E]
+    # x's left multiplication of the cosets, generator i moving them by table.inverses[i]
+    cosets = SoficApproximation("free", rank, table.size, table.inverses)
+    e_labels = [index[cosets.permutation_of(x)] for x in E]
     if len(set(e_labels)) != len(e_labels):
         raise AssertionError("separating quotient produced a label collision")
 
@@ -443,9 +434,9 @@ def restrict_certificate(
     """Pull a certificate back along generator j -> images[j].
 
     phi becomes phi . image on each outer generator; the witness is
-    unchanged.  For certificates not built here as exact homomorphisms,
-    every image of F must already appear in the base F (or be the
-    identity), since nothing else was verified.
+    unchanged.  The result is exact when the base phi is a homomorphism,
+    as every certificate built here is; otherwise it is only what the
+    verifier makes of it.
     """
     for g in images:
         check_element(cert.action, g)
@@ -453,26 +444,9 @@ def restrict_certificate(
     for g in F:
         if not isinstance(g, Word) or g.rank != outer_rank:
             raise ValueError(f"expected rank-{outer_rank} words in F, got {g!r}")
-    if cert.provenance.get("builder") != "exact-homomorphism":
-        base_f = {json.dumps(element_text(g)) for g in cert.F}
-        for g in F:
-            target = apply_images(images, g)
-            if _element_is_identity(target):
-                continue
-            if json.dumps(element_text(target)) not in base_f:
-                raise SeparatorInvalidError(
-                    f"image of {g.text()!r} was not verified by the base certificate; rebuild required"
-                )
-    arrays = tuple(cert.approx.permutation_of(apply_images(images, Word((j,), outer_rank)))
-                   for j in range(1, outer_rank + 1))
+    arrays = tuple(cert.approx.permutation_of(g) for g in images)
     approx = SoficApproximation("free", outer_rank, cert.approx.size, arrays)
     action = RestrictedAction(cert.action, tuple(images))
     provenance = dict(cert.provenance)
     provenance["restricted_from"] = action_to_json(cert.action)["kind"]
     return Certificate(action, tuple(F), cert.E, cert.epsilon, approx, cert.witness, provenance)
-
-
-def _element_is_identity(g: GroupElement) -> bool:
-    if isinstance(g, tuple):
-        return g[0].is_identity and g[1].is_identity
-    return g.is_identity

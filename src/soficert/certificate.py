@@ -17,7 +17,7 @@ import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
 from .actions import (
     ActionSpec, BiregularAction, GroupElement, acting_rank, action_from_json, action_to_json,
@@ -68,34 +68,15 @@ class SoficApproximation:
             return left.letters + tuple(l + shift if l > 0 else l - shift for l in right.letters)
         return g.letters
 
-    def permutations_of(
-        self, elements: Sequence[GroupElement]
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(i, phi(elements[i])) for each i, in the sorted order of the
-        elements' letter sequences.
-
-        phi of a sequence is the left fold of its letters' images under
-        ``compose``, phi of the empty one the identity.  Sorted, the
-        sequences that share a prefix come together, so the fold runs
-        along one chain of prefixes and each prefix is composed once;
-        only that chain is held."""
-        keyed = sorted((self.letters(g), i) for i, g in enumerate(elements))
-        path: tuple[int, ...] = ()
-        chain: list[tuple[int, ...]] = []  # chain[k] is phi(path[:k + 1])
-        for letters, i in keyed:
-            # cut the chain back to the longest prefix it shares with letters
-            del chain[len(letters):]
-            while path[:len(chain)] != letters[:len(chain)]:
-                chain.pop()
-            for l in letters[len(chain):]:
-                image = self._letter_image(l)
-                chain.append(compose(chain[-1], image) if chain else image)
-            path = letters
-            yield i, chain[-1] if chain else identity_perm(self.size)
-
     def permutation_of(self, g: GroupElement) -> tuple[int, ...]:
-        """phi(g), composing generator images (left factor then right for pairs)."""
-        [(_, perm)] = self.permutations_of([g])
+        """phi(g): the left fold of its letters' images under ``compose``,
+        one composition per letter after the first; phi(1) is the identity."""
+        letters = self.letters(g)
+        if not letters:
+            return identity_perm(self.size)
+        perm = self._letter_image(letters[0])
+        for l in letters[1:]:
+            perm = compose(perm, self._letter_image(l))
         return perm
 
 

@@ -9,21 +9,25 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """p after q: (p . q)[i] = p[q[i]], gathered in one C call.
-
+def _gather(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """x -> (x[i] for i in indices) as a tuple, built once for many x.
     ``itemgetter`` returns a bare item for one index and cannot be built
-    from none, so degrees 0 and 1 are spelled out."""
-    if len(q) > 1:
-        return itemgetter(*q)(p)
-    return (p[q[0]],) if q else ()
+    from none, so those lengths get a generator expression."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda x: tuple(x[i] for i in indices)
+
+
+def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """p after q: (p . q)[i] = p[q[i]], gathered in one C call."""
+    return _gather(q)(p)
 
 
 BYTES_DEGREE_MAX = 256

@@ -27,10 +27,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Sequence
 
-from .permutations import BYTES_DEGREE_MAX, byte_table, compose, identity_perm, inverse, order_bound
+from .permutations import BYTES_DEGREE_MAX, _gather, byte_table, identity_perm, inverse, order_bound
 from .words import Word, invert
 
 DEFAULT_CORE_CAP = 10**6
@@ -76,18 +76,6 @@ class StallingsGraph:
                 return None
             state = nxt
         return state
-
-
-_SIGNED_LETTERS_CACHE: dict[int, tuple[int, ...]] = {}
-
-
-def signed_letters(rank: int) -> tuple[int, ...]:
-    """All signed letters in canonical order: 1..rank then -1..-rank."""
-    if rank not in _SIGNED_LETTERS_CACHE:
-        _SIGNED_LETTERS_CACHE[rank] = tuple(range(1, rank + 1)) + tuple(
-            -i for i in range(1, rank + 1)
-        )
-    return _SIGNED_LETTERS_CACHE[rank]
 
 
 def _fold(edges: set[tuple[int, int, int]], n: int) -> set[tuple[int, int, int]]:
@@ -137,16 +125,17 @@ def _bfs(
     steps: dict[tuple[int, int], int], rank: int, start: int, stop: int | None = None
 ) -> dict[int, tuple[int, int]]:
     """Breadth-first search along ``steps`` from ``start``, signed letters
-    in canonical order.  Returns the parent map ``vertex -> (parent,
-    letter)`` in discovery order, ``start`` mapping to ``(-1, 0)``; the
-    search ends once ``stop`` is dequeued."""
+    in canonical order: 1..rank then -1..-rank.  Returns the parent map
+    ``vertex -> (parent, letter)`` in discovery order, ``start`` mapping
+    to ``(-1, 0)``; the search ends once ``stop`` is dequeued."""
+    letters = (*range(1, rank + 1), *range(-1, -rank - 1, -1))
     parent = {start: (-1, 0)}
     queue = deque([start])
     while queue:
         v = queue.popleft()
         if v == stop:
             break
-        for l in signed_letters(rank):
+        for l in letters:
             w = steps.get((v, l))
             if w is not None and w not in parent:
                 parent[w] = (v, l)
@@ -254,14 +243,6 @@ class CosetTable:
             state = self.step(state, l)
         return state
 
-    def walk_permutation(self, w: Word) -> tuple[int, ...]:
-        """The permutation of cosets effected by reading ``w`` (letters left to right)."""
-        perm = identity_perm(self.size)
-        for l in w.letters:
-            step = self.images[l - 1] if l > 0 else self.inverses[-l - 1]
-            perm = compose(step, perm)
-        return perm
-
 
 def coset_of(table: CosetTable, w: Word) -> int:
     """Walk ``w`` letter by letter from coset 0.  Zero iff ``w`` is in the subgroup."""
@@ -273,11 +254,6 @@ def coset_of(table: CosetTable, w: Word) -> int:
 def left_coset_of(table: CosetTable, w: Word) -> int:
     """Label of the left coset wK.  Equal labels exactly when u^-1 v is in K."""
     return table.walk(invert(w))
-
-
-def action_permutation(table: CosetTable, w: Word) -> tuple[int, ...]:
-    """Left multiplication by ``w`` on left-coset labels (a homomorphism in w)."""
-    return table.walk_permutation(invert(w))
 
 
 def hall_completion(graph: StallingsGraph, avoid: Sequence[Word]) -> CosetTable:
@@ -366,7 +342,7 @@ def image_group(
     above ``cap`` is refused before any element is listed.  On at most
     ``BYTES_DEGREE_MAX`` points an element u is bytes and p . u is
     ``u.translate`` of p's byte table; above, u is a tuple and one
-    ``itemgetter`` gather, applied to every step p, gives p . u.
+    gather through u, applied to every step p, gives p . u.
     """
     order = order_bound(generators, degree, cap)
     if order > cap:
@@ -378,7 +354,7 @@ def image_group(
         first, product = bytes(range(degree)), attrgetter("translate")
         steps = [byte_table(p) for p in steps]
     else:
-        first, product = identity_perm(degree), lambda u: itemgetter(*u)
+        first, product = identity_perm(degree), _gather
     index = {first: 0}
     elements = [first]
     moves: list[list[int]] = [[] for _ in steps]

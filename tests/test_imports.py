@@ -3,11 +3,13 @@ every imported name is used, every import is the standard library or
 soficert itself, every top-level function and class, and every method
 that is not a dunder, is used by the package or its scripts, and every
 parameter with a default is passed by some call in them.  Beside these,
-importing the package afresh must free its previous copy."""
+importing the package afresh must free its previous copy, and the
+README's module map must give every module's line count."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +187,21 @@ def test_verifier_trusts_only_the_certificate_format_and_the_point_algebra():
     assert import_closure("verifier") == {
         "verifier", "certificate", "actions", "stallings", "permutations", "words"}
     assert import_closure("certificate").isdisjoint({"builder", "verifier", "harness", "cli"})
+
+
+def line_count(stem):
+    return len((PACKAGE / f"{stem}.py").read_text().splitlines())
+
+
+def test_readme_module_map_counts_the_lines():
+    # the module map lists every module but __init__.py with its line
+    # count, and the trusted total is the sum over the verifier's closure
+    readme = (ROOT / "README.md").read_text()
+    table = dict(re.findall(r"^\| `(\w+)\.py` \| (\d+) \|", readme, re.MULTILINE))
+    assert sorted(table) == sorted(p.stem for p in MODULES if p.name != "__init__.py")
+    assert {stem: int(n) for stem, n in table.items()} == {stem: line_count(stem) for stem in table}
+    [total] = re.findall(r"(\d{1,3}(?: \d{3})*) lines in all", readme)
+    assert int(total.replace(" ", "")) == sum(map(line_count, import_closure("verifier")))
 
 
 # bench/run.py's import_soficert: drop every soficert entry of sys.modules

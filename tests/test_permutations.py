@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 import soficert.permutations as permutations
-import soficert.stallings as stallings
 from soficert.actions import CosetAction, canonical_point, separation_targets
 from soficert.builder import StageError, approximate
 from soficert.permutations import compose, identity_perm, is_permutation, order_bound
@@ -98,7 +97,6 @@ def test_stretch_tables_refused_before_enumeration(monkeypatch, sub, E):
         return compose(p, q)
 
     monkeypatch.setattr(permutations, "compose", counted)
-    monkeypatch.setattr(stallings, "compose", counted)
     with pytest.raises(CoreTooLargeError) as info:
         image_group(table.images, table.size, 10**5)
     assert str(info.value).startswith(f"image group exceeds cap 100000 on {table.size} points")

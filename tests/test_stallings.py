@@ -6,12 +6,12 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from soficert import stallings
+from soficert.certificate import SoficApproximation
 from soficert.permutations import compose, inverse
 from soficert.stallings import (
     CoreTooLargeError,
     CosetTable,
     InseparableError,
-    action_permutation,
     contains,
     core_graph,
     coset_of,
@@ -258,14 +258,17 @@ def test_left_labels_separate_left_cosets():
 # coset tables
 
 
-def test_walk_permutation_antihomomorphism():
+def test_left_coset_action_is_a_homomorphism():
+    # generator i moves the left-coset labels by the inverse of its walk,
+    # so the fold of a word's letters is its left multiplication of the
+    # cosets, and a homomorphism
     table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
-    u, v = w2("ab"), w2("ba")
-    walk = table.walk_permutation
-    assert walk(multiply(u, v)) == compose(walk(v), walk(u))
-    # so the inverse-walk is a genuine homomorphism
-    phi = lambda g: action_permutation(table, g)
-    assert phi(multiply(u, v)) == compose(phi(u), phi(v))
+    phi = SoficApproximation("free", 2, table.size, table.inverses).permutation_of
+    words = [w2(t) for t in ("", "a", "b", "ab", "ba", "Ba", "bAB")]
+    for u in words:
+        for v in words:
+            assert phi(multiply(u, v)) == compose(phi(u), phi(v))
+            assert phi(u)[left_coset_of(table, v)] == left_coset_of(table, multiply(u, v))
 
 
 def test_image_group_and_cap():
