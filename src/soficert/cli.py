@@ -203,7 +203,7 @@ def cmd_subgroup(args) -> int:
         "rank": args.rank,
         "generators": [w.text() for w in gens],
         "vertices": graph.vertex_count,
-        "edges": [f"{u} -{chr(96 + l)}-> {v}" for u, l, v in sorted(graph.edges)],
+        "edges": [f"{u} -{chr(96 + l)}-> {v}" for u, l, v in graph.edges],
     }
     if avoid is not None:
         try:

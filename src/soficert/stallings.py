@@ -2,9 +2,9 @@
 
 A subgroup given by generator words is represented by its folded core
 graph: a based, edge-labeled graph in which a reduced word lies in the
-subgroup exactly when it reads a closed path at the basepoint.  Folding
-the graph together with fresh paths spelling a finite "avoid" set and
-then completing every partial letter map to a permutation yields a
+subgroup exactly when it reads a closed path at the basepoint.  Spelling
+a finite "avoid" set onto the graph, which stays folded, and then
+completing every partial letter map to a permutation yields a
 finite-index overgroup that still excludes every avoid word; this is
 the separating-subgroup constructor used throughout the package.
 
@@ -64,14 +64,11 @@ class StallingsGraph:
     def _steps(self) -> dict[tuple[int, int], int]:
         return _steps_table(self.edges)
 
-    def step(self, vertex: int, letter: int) -> int | None:
-        return self._steps.get((vertex, letter))
-
     def trace(self, w: Word) -> int | None:
         """Endpoint of reading ``w`` from the basepoint; None if some edge is missing."""
         state = 0
         for l in w.letters:
-            nxt = self.step(state, l)
+            nxt = self._steps.get((state, l))
             if nxt is None:
                 return None
             state = nxt
@@ -143,9 +140,25 @@ def _bfs(
     return parent
 
 
-def _canonical(rank: int, edges: set[tuple[int, int, int]], base: int) -> StallingsGraph:
+def _spell(steps: dict[tuple[int, int], int], letters: Sequence[int], fresh: int) -> tuple[int, int]:
+    """Read ``letters`` from the basepoint along ``steps``, adding a
+    fresh vertex wherever an edge is missing, so a folded graph stays
+    folded.  Returns the endpoint and the next fresh vertex number."""
+    state = 0
+    for l in letters:
+        nxt = steps.get((state, l))
+        if nxt is None:
+            nxt = fresh
+            fresh += 1
+            steps[(state, l)] = nxt
+            steps[(nxt, -l)] = state
+        state = nxt
+    return state, fresh
+
+
+def _canonical(rank: int, edges: set[tuple[int, int, int]]) -> StallingsGraph:
     """Renumber vertices by BFS from the basepoint, letters in canonical order."""
-    order = {v: i for i, v in enumerate(_bfs(_steps_table(edges), rank, base))}
+    order = {v: i for i, v in enumerate(_bfs(_steps_table(edges), rank, 0))}
     renamed = sorted((order[u], l, order[v]) for u, l, v in edges)
     return StallingsGraph(rank, len(order), tuple(renamed))
 
@@ -169,7 +182,7 @@ def core_graph(generators: Sequence[Word], rank: int) -> StallingsGraph:
             else:
                 edges.add((nxt, -l, cur))
             cur = nxt
-    return _canonical(rank, _fold(edges, fresh), 0)
+    return _canonical(rank, _fold(edges, fresh))
 
 
 def contains(graph: StallingsGraph, w: Word) -> bool:
@@ -188,16 +201,7 @@ def coset_canonical_word(graph: StallingsGraph, w: Word) -> Word:
     is the shortlex-minimal element of wH.
     """
     steps = dict(graph._steps)
-    state = 0
-    fresh = graph.vertex_count
-    for l in invert(w).letters:
-        nxt = steps.get((state, l))
-        if nxt is None:
-            nxt = fresh
-            fresh += 1
-            steps[(state, l)] = nxt
-            steps[(nxt, -l)] = state
-        state = nxt
+    state, _ = _spell(steps, invert(w).letters, graph.vertex_count)
     parent = _bfs(steps, graph.rank, state, stop=0)
     letters: list[int] = []
     v = 0
@@ -231,16 +235,11 @@ class CosetTable:
     def inverses(self) -> tuple[tuple[int, ...], ...]:
         return tuple(inverse(img) for img in self.images)
 
-    def step(self, state: int, letter: int) -> int:
-        if letter > 0:
-            return self.images[letter - 1][state]
-        return self.inverses[-letter - 1][state]
-
     def walk(self, w: Word) -> int:
         """The coset reached by reading ``w`` from coset 0."""
         state = 0
         for l in w.letters:
-            state = self.step(state, l)
+            state = self.images[l - 1][state] if l > 0 else self.inverses[-l - 1][state]
         return state
 
 
@@ -259,48 +258,30 @@ def left_coset_of(table: CosetTable, w: Word) -> int:
 def hall_completion(graph: StallingsGraph, avoid: Sequence[Word]) -> CosetTable:
     """Finite-index overgroup table excluding every ``avoid`` word.
 
-    Attaches a fresh path spelling each avoid word at the basepoint,
-    folds, then completes every partial letter map to a permutation by
-    matching unmatched sources to unmatched targets in ascending vertex
-    order.  Postconditions: subgroup generators still close at coset 0;
-    every avoid word walks to a nonzero coset.
+    Spells each avoid word onto the folded ``graph`` from the basepoint.
+    The spelled paths form a tree, so a word ends at the basepoint
+    exactly when it lies in the subgroup; the first such word is refused.
+    Then numbers the vertices as ``core_graph`` does and completes each
+    partial letter map, unmatched sources to unmatched targets in
+    ascending order.  Postconditions: subgroup generators still close at
+    coset 0; every avoid word walks to a nonzero coset.
     """
+    steps = dict(graph._steps)
+    fresh = graph.vertex_count
     for w in avoid:
         if w.rank != graph.rank:
             raise ValueError(f"avoid word rank {w.rank} != graph rank {graph.rank}")
-        if w.is_identity:
+        end, fresh = _spell(steps, w.letters, fresh)
+        if end == 0:
             raise InseparableError(w)
-        if contains(graph, w):
-            raise InseparableError(w)
-    edges = set(graph.edges)
-    fresh = graph.vertex_count
-    for w in avoid:
-        cur = 0
-        for l in w.letters:
-            if l > 0:
-                edges.add((cur, l, fresh))
-            else:
-                edges.add((fresh, -l, cur))
-            cur = fresh
-            fresh += 1
-    merged = _canonical(graph.rank, _fold(edges, fresh), 0)
-    for w in avoid:
-        if merged.trace(w) == 0:  # cannot happen after the membership precondition
-            raise InseparableError(w)
+    order = list(_bfs(steps, graph.rank, 0))
+    number = {v: i for i, v in enumerate(order)}
     images = []
     for l in range(1, graph.rank + 1):
-        img: dict[int, int] = {}
-        covered = set()
-        for u, lab, v in merged.edges:
-            if lab == l:
-                img[u] = v
-                covered.add(v)
-        sources = [v for v in range(merged.vertex_count) if v not in img]
-        targets = [v for v in range(merged.vertex_count) if v not in covered]
-        for s, t in zip(sources, targets):
-            img[s] = t
-        images.append(tuple(img[v] for v in range(merged.vertex_count)))
-    return CosetTable(graph.rank, merged.vertex_count, tuple(images))
+        img = [number.get(steps.get((v, l))) for v in order]  # None: no l-edge
+        targets = iter(sorted(set(range(fresh)).difference(img)))
+        images.append(tuple(next(targets) if t is None else t for t in img))
+    return CosetTable(graph.rank, fresh, tuple(images))
 
 
 class ImageGroup:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -19,7 +21,7 @@ from soficert.stallings import (
     image_group,
     left_coset_of,
 )
-from soficert.words import free_reduce, identity, invert, multiply, parse_word
+from soficert.words import Word, free_reduce, identity, invert, multiply, parse_word
 
 
 def w2(t):
@@ -193,6 +195,73 @@ def test_worklist_fold_matches_reference_fold(case):
     assert all(d >= 2 for d in degree[1:])
 
 
+def _reference_hall(graph, avoid):
+    """Hall completion by folding: attach a raw path per avoid word, fold
+    everything with the reference fold, number canonically and complete
+    each letter map in ascending order.  Returns ``fold_outcome``'s
+    separator: the table's (size, images), or the first avoid word that
+    lies in the subgroup."""
+    edges = set(graph.edges)
+    fresh = graph.vertex_count
+    for w in avoid:
+        cur = 0
+        for l in w.letters:
+            edges.add((cur, l, fresh) if l > 0 else (fresh, -l, cur))
+            cur, fresh = fresh, fresh + 1
+    merged = stallings._canonical(graph.rank, _reference_fold(edges, fresh)[0])
+    for w in avoid:
+        if merged.trace(w) == 0:  # the paths are a tree, so w lies in the subgroup
+            return "inseparable", w
+    images = []
+    for l in range(1, graph.rank + 1):
+        img = {u: v for u, lab, v in merged.edges if lab == l}
+        sources = [v for v in range(merged.vertex_count) if v not in img]
+        targets = sorted(set(range(merged.vertex_count)) - set(img.values()))
+        img.update(zip(sources, targets))
+        images.append(tuple(img[v] for v in range(merged.vertex_count)))
+    return merged.vertex_count, tuple(images)
+
+
+@given(fold_inputs())
+def test_hall_completion_matches_reference_hall(case):
+    rank, gens, avoid = case
+    graph, separator = fold_outcome(rank, gens, avoid)
+    assert separator == _reference_hall(graph, avoid)
+
+
+@pytest.mark.parametrize(
+    "gens, avoid",
+    [
+        (["a"], ["b", "ba", "bab"]),  # each avoid word runs along the previous one's fresh path
+        (["abA"], ["b", "bA", "aab"]),
+        (["aa", "b"], ["a", "baab", "ab"]),  # the second word lies in the subgroup
+        (["aa"], ["b", "ab", "bB", "aa"]),  # the fourth is the identity
+    ],
+)
+def test_hall_completion_matches_reference_hall_frozen(gens, avoid):
+    avoid = [w2(t) for t in avoid]
+    graph, separator = fold_outcome(2, [w2(t) for t in gens], avoid)
+    assert separator == _reference_hall(graph, avoid)
+
+
+def test_hall_completion_spells_without_folding():
+    def refuse(*args):
+        raise AssertionError("hall_completion folded or re-traced")
+
+    graph = core_graph([w2("abA"), w2("bb")], 2)
+    avoid = [w2("b"), w2("ab"), w2("aba")]
+    expected = _reference_hall(graph, avoid)
+    with (
+        mock.patch.object(stallings, "_fold", refuse),
+        mock.patch.object(stallings, "contains", refuse),
+        mock.patch.object(stallings.StallingsGraph, "trace", refuse),
+    ):
+        table = hall_completion(graph, avoid)
+        assert (table.size, table.images) == expected
+        with pytest.raises(InseparableError):
+            hall_completion(graph, [w2("b"), w2("abbA")])
+
+
 def test_cascade_folds_to_one_vertex():
     n = 2000
     gens = [w2("a" * n), w2("a" * (n + 1)), w2("b" * n), w2("b" * (n - 1))]
@@ -210,6 +279,40 @@ def test_hall_frozen_tables():
     assert (t.size, t.images) == (2, ((1, 0), (0, 1)))
     t = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
     assert (t.size, t.images) == (3, ((0, 1, 2), (1, 2, 0)))
+
+
+def random_reduced(rng, length):
+    """A reduced rank-2 word of ``length`` letters drawn from ``rng``."""
+    letters = [rng.choice((1, -1, 2, -2))]
+    while len(letters) < length:
+        l = rng.choice((1, -1, 2, -2))
+        if l != -letters[-1]:
+            letters.append(l)
+    return Word(tuple(letters), 2)
+
+
+def hall_digest(gens, avoid):
+    table = hall_completion(core_graph(gens, 2), avoid)
+    return table.size, hashlib.sha256(repr(table.images).encode()).hexdigest()
+
+
+def test_hall_long_inputs_frozen():
+    # avoid words sharing a 200-letter prefix with the generator w a w^-1
+    w = random_reduced(random.Random(0), 200)
+    assert w.letters[-1] > 0  # so every word below is reduced as written
+    gen = multiply(multiply(w, w2("a")), invert(w))
+    avoid = [multiply(w, w2(t)) for t in ("b", "ab", "ba")]
+    assert hall_digest([gen], avoid) == (
+        203, "4a1866a0b0de0fc54989649b10cfd065e92061bbae62c5ec303819191a5af16f"
+    )
+    # random avoid words of odd length over random generators of even
+    # length: no avoid word lies in the subgroup
+    rng = random.Random(0)
+    gens = [random_reduced(rng, 2 * rng.randint(25, 35)) for _ in range(3)]
+    avoid = [random_reduced(rng, 2 * rng.randint(25, 35) + 1) for _ in range(3)]
+    assert hall_digest(gens, avoid) == (
+        351, "1a89b826c67f46fdd0f21afba464813db0520fdfb9370e88005bc80795ed4650"
+    )
 
 
 def test_hall_inseparable():
