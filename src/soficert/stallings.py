@@ -30,7 +30,9 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Sequence
 
-from .permutations import BYTES_DEGREE_MAX, _gather, byte_table, identity_perm, inverse, order_bound
+from .permutations import (
+    BYTES_DEGREE_MAX, _gather, byte_table, identity_perm, inverse, is_permutation, order_bound,
+)
 from .words import Word, invert
 
 DEFAULT_CORE_CAP = 10**6
@@ -164,25 +166,22 @@ def _canonical(rank: int, edges: set[tuple[int, int, int]]) -> StallingsGraph:
 
 
 def core_graph(generators: Sequence[Word], rank: int) -> StallingsGraph:
-    """Folded core graph of the subgroup generated by ``generators``."""
-    edges: set[tuple[int, int, int]] = set()
+    """Folded core graph of the subgroup generated by ``generators``: all
+    but the last letter of each is spelled from the basepoint, so shared
+    prefixes share a path, and only its one closing edge can fold."""
+    steps: dict[tuple[int, int], int] = {}
+    closing: set[tuple[int, int, int]] = set()
     fresh = 1
     for w in generators:
         if w.rank != rank:
             raise ValueError(f"generator rank {w.rank} != {rank}")
         if w.is_identity:
             continue
-        cur = 0
-        for i, l in enumerate(w.letters):
-            nxt = 0 if i == len(w.letters) - 1 else fresh
-            if i < len(w.letters) - 1:
-                fresh += 1
-            if l > 0:
-                edges.add((cur, l, nxt))
-            else:
-                edges.add((nxt, -l, cur))
-            cur = nxt
-    return _canonical(rank, _fold(edges, fresh))
+        end, fresh = _spell(steps, w.letters[:-1], fresh)
+        l = w.letters[-1]
+        closing.add((end, l, 0) if l > 0 else (0, -l, end))
+    tree = {(u, l, v) for (u, l), v in steps.items() if l > 0}
+    return _canonical(rank, _fold(tree | closing, fresh))
 
 
 def contains(graph: StallingsGraph, w: Word) -> bool:
@@ -228,7 +227,7 @@ class CosetTable:
         if len(self.images) != self.rank:
             raise ValueError("need one image array per generator")
         for img in self.images:
-            if sorted(img) != list(range(self.size)):
+            if not is_permutation(img, self.size):
                 raise ValueError(f"image array {img} is not a permutation of {self.size} points")
 
     @cached_property

@@ -780,6 +780,33 @@ PINNED_LARGE = [
      ("a0f559674769ff47df36c164bc002b583861127c1a2dc7fd4d54ccae0d2cff76",
       "a59233dfcd0ee6931a50ccd4579031d92a5bd91691a3c05d8ec21084408f92f0")),
 ]
+# the benchmark's other certificates: small-jobs' abab-bb, fold's
+# cascade-200, whose 200-letter generators fold to one vertex, and the
+# two-point windows that refusal falls back to under a 10^5 group cap
+REFUSAL_CAPS = {"core_cap": 10**5}
+PINNED_BENCH = [
+    ({"action": {"kind": "coset", "rank": 2, "subgroup": ["abab", "bb"]},
+      "F": ["a", "b"], "E": ["1", "a"]},
+     ("fc9c5f69e93ff06bc941c4ce772e524331b8354108fe1039906b7741e637c62b",
+      "f9759b9a5dee7b1e8009aa2ab6731268a29122387af4879a1e8a0fa503ebfc3a")),
+    ({"action": {"kind": "coset", "rank": 2,
+                 "subgroup": ["a" * 200, "a" * 201, "b" * 200, "b" * 199]},
+      "F": ["a", "b"], "E": ["1"]},
+     ("cee4b1273d185b3e2e7c25b6f960a60219fa36272a142aa7b1b50ba5e36ef4cd",
+      "4b2c30c899a7aa8572d86fad68697efe2823676767e73a6a9e123f6bf79d61df")),
+    ({"action": {"kind": "coset", "rank": 2, "subgroup": []},
+      "F": ["a", "b"], "E": ["1", "a"], "caps": REFUSAL_CAPS},
+     ("32b7de7583d80f028c4db785f714441a02e9aa96b430d59c6af64d3e117d21b4",
+      "20af13db0eb40b89814b50d2ee6cf4a5ac8b78bf94c2f0f1bc825c4db1d81d0d")),
+    ({"action": {"kind": "coset", "rank": 2, "subgroup": ["abAB"]},
+      "F": ["a", "b"], "E": ["1", "a"], "caps": REFUSAL_CAPS},
+     ("c56265d272f5cd6cf2699626b74a9a02bb0c4a58ffefc1913a2ad172fbd82e36",
+      "578862c506215929b042b93c68135f4e7d1b5f9a68db4b87a88cc6a45aee0c09")),
+    ({"action": {"kind": "coset", "rank": 2, "subgroup": ["aabb"]},
+      "F": ["a", "b"], "E": ["1", "a"], "caps": REFUSAL_CAPS},
+     ("27a4c77ab158e29fbd254d8c0d15ba971444a20bd63cdf1cc7f703cc9632c0ea",
+      "1db6634149f54b32e48a042d0cdea944c15f24176f039b55a5514c6674676573")),
+]
 
 
 def certificate_shas(path):
@@ -832,4 +859,9 @@ def test_certificate_bytes_are_pinned(tmp_path):
 
 def test_large_carrier_bytes_are_pinned(tmp_path):
     for job, shas in PINNED_LARGE:
+        assert built_shas(tmp_path, job) == shas, job["action"]
+
+
+def test_bench_certificate_bytes_are_pinned(tmp_path):
+    for job, shas in PINNED_BENCH:
         assert built_shas(tmp_path, job) == shas, job["action"]

@@ -3,8 +3,9 @@ every imported name is used, every import is the standard library or
 soficert itself, every top-level function and class, and every method
 that is not a dunder, is used by the package or its scripts, and every
 parameter with a default is passed by some call in them.  Beside these,
-importing the package afresh must free its previous copy, and the
-README's module map must give every module's line count."""
+importing the verifier must load only its trusted modules, importing
+the package afresh must free its previous copy, and the README's module
+map must give every module's line count."""
 
 import ast
 import json
@@ -35,8 +36,7 @@ def imports(tree):
                 yield node, alias.asname or alias.name
 
 
-# the package module imports names to re-export them
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -187,6 +187,23 @@ def test_verifier_trusts_only_the_certificate_format_and_the_point_algebra():
     assert import_closure("verifier") == {
         "verifier", "certificate", "actions", "stallings", "permutations", "words"}
     assert import_closure("certificate").isdisjoint({"builder", "verifier", "harness", "cli"})
+
+
+LOADED = """
+import json, sys
+import soficert.verifier
+print(json.dumps(sorted(n for n in sys.modules if n == "soficert" or n.startswith("soficert."))))
+"""
+
+
+def test_importing_the_verifier_loads_only_its_trusted_modules():
+    # the package module itself imports nothing, so a fresh interpreter
+    # runs no builder or harness code to import the verifier
+    proc = subprocess.run([sys.executable, "-c", LOADED], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == sorted(
+        ["soficert"] + [f"soficert.{stem}" for stem in import_closure("verifier")])
 
 
 def line_count(stem):

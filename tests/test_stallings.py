@@ -269,6 +269,82 @@ def test_cascade_folds_to_one_vertex():
 
 
 # ---------------------------------------------------------------------------
+# the spelled core graph against the raw loops it replaced
+
+
+def _reference_core_graph(generators, rank):
+    """Each generator laid out as its own loop of fresh vertices through
+    the basepoint, folded by the reference fold and numbered canonically."""
+    edges = set()
+    fresh = 1
+    for w in generators:
+        if w.is_identity:
+            continue
+        cur = 0
+        for i, l in enumerate(w.letters):
+            nxt = 0 if i == len(w.letters) - 1 else fresh
+            if nxt:
+                fresh += 1
+            edges.add((cur, l, nxt) if l > 0 else (nxt, -l, cur))
+            cur = nxt
+    return stallings._canonical(rank, _reference_fold(edges, fresh)[0])
+
+
+@st.composite
+def prefix_sharing_generators(draw):
+    """Up to four generators, each a stem drawn from at most two then a
+    tail, so generators share prefixes; a word may be the identity or a
+    single letter, and may end in an inverse letter."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    letter = st.sampled_from([l for i in range(1, rank + 1) for l in (i, -i)])
+    word = st.lists(letter, max_size=5).map(lambda ls: free_reduce(ls, rank))
+    stems = draw(st.lists(word, min_size=1, max_size=2))
+    gens = draw(st.lists(st.tuples(st.sampled_from(stems), word), max_size=4))
+    return rank, [multiply(stem, tail) for stem, tail in gens]
+
+
+@given(prefix_sharing_generators())
+def test_core_graph_matches_reference_core_graph(case):
+    rank, gens = case
+    assert core_graph(gens, rank) == _reference_core_graph(gens, rank)
+
+
+def folded_edges(gens, rank=2):
+    """The edge sets ``core_graph`` hands to ``_fold``."""
+    seen = []
+    fold = stallings._fold
+
+    def spy(edges, n):
+        seen.append(set(edges))
+        return fold(edges, n)
+
+    with mock.patch.object(stallings, "_fold", spy):
+        graph = core_graph(gens, rank)
+    assert graph == _reference_core_graph(gens, rank)
+    [edges] = seen
+    return edges
+
+
+def test_core_graph_spells_prefixes_and_folds_closing_edges():
+    # a one-letter generator spells nothing and closes at the basepoint
+    assert folded_edges([w2("a")]) == {(0, 1, 0)}
+    assert folded_edges([w2("B"), w2("1")]) == {(0, 2, 0)}
+    # a last inverse letter l closes with the edge (0, -l, end)
+    assert folded_edges([w2("aB")]) == {(0, 1, 1), (0, 2, 1)}
+    # a shared prefix is spelled once
+    assert folded_edges([w2("abA"), w2("abb")]) == {(0, 1, 1), (1, 2, 2), (0, 1, 2), (2, 2, 0)}
+    assert folded_edges([parse_word("cAb", 3), parse_word("cA", 3)], 3) == {
+        (0, 3, 1), (2, 1, 1), (2, 2, 0), (0, 1, 1)}
+
+
+def test_cascade_reaches_fold_as_spelled_tree_plus_closing_edges():
+    # a^200 and a^201 share 199 letters, b^200 and b^199 share 198: the
+    # spelled tree has 399 edges, plus one closing edge per generator
+    gens = [w2("a" * 200), w2("a" * 201), w2("b" * 200), w2("b" * 199)]
+    assert len(folded_edges(gens)) == 403
+
+
+# ---------------------------------------------------------------------------
 # Hall completions
 
 
@@ -386,3 +462,6 @@ def test_coset_table_validates():
         CosetTable(2, 3, ((0, 0, 1), (0, 1, 2)))
     with pytest.raises(ValueError):
         CosetTable(2, 3, ((0, 1, 2),))
+    for img in ((0, 1, 3), (0, 1), (0, 1, 2, 0)):  # out of range, short, long
+        with pytest.raises(ValueError, match=r"is not a permutation of 3 points"):
+            CosetTable(1, 3, (img,))
