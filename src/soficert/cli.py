@@ -14,6 +14,7 @@ line with compact values, so identical jobs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import reprlib
 import sys
@@ -359,7 +360,15 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    return args.func(args)
+    # A command's certificate arrays are acyclic and live until it returns,
+    # so the cyclic collector would re-walk them and free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry() -> None:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from soficert import cli
 from soficert.certificate import certificate_from_dict, write_certificate
 from soficert.cli import SUBCOMMANDS, build_parser, job_from_dict, main
 from soficert.harness import oracle_agreement, oracle_cases
@@ -865,3 +867,86 @@ def test_large_carrier_bytes_are_pinned(tmp_path):
 def test_bench_certificate_bytes_are_pinned(tmp_path):
     for job, shas in PINNED_BENCH:
         assert built_shas(tmp_path, job) == shas, job["action"]
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector: paused while a command runs, then as the caller left it
+
+
+@pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+def caller_collector(request):
+    """The collector as the caller leaves it before ``main``; on again after."""
+    if not request.param:
+        gc.disable()
+    yield request.param
+    gc.enable()
+
+
+def record_collector(monkeypatch, raises=False):
+    """Wrap ``cmd_verify`` to record whether the collector is on inside it."""
+    states = []
+    run = cli.cmd_verify
+
+    def recording(args):
+        states.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("command failed")
+        return run(args)
+
+    monkeypatch.setattr(cli, "cmd_verify", recording)
+    return states
+
+
+def test_collector_is_paused_for_the_command_only(tmp_path, monkeypatch, capsys, caller_collector):
+    out = built_cert_path(tmp_path)
+    states = record_collector(monkeypatch)
+    assert main(["verify", out]) == 0
+    assert states == [False]
+    assert gc.isenabled() == caller_collector
+
+
+def test_collector_is_restored_when_the_command_raises(monkeypatch, caller_collector):
+    states = record_collector(monkeypatch, raises=True)
+    with pytest.raises(RuntimeError):
+        main(["verify", "cert.json"])
+    assert states == [False]
+    assert gc.isenabled() == caller_collector
+
+
+def test_usage_error_leaves_the_collector_as_it_was(capsys, caller_collector):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    assert gc.isenabled() == caller_collector
+
+
+def test_no_collection_starts_while_a_large_certificate_is_verified(tmp_path, monkeypatch, capsys):
+    # the 3 600-point biregular-ball2 certificate of the large-carrier
+    # workload: verified with the collector on, as a library caller would,
+    # its arrays start collections; through main they start none
+    out = tmp_path / "ball2.json"
+    assert main(["approx", "--config", write_job(tmp_path, PINNED_LARGE[1][0]), "--out", str(out)]) == 0
+    starts, inside = [], []
+    run = cli.cmd_verify
+
+    def counting(args):
+        inside.append(args)
+        try:
+            return run(args)
+        finally:
+            inside.pop()
+
+    def count_start(phase, info):
+        if phase == "start" and inside:
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count_start)
+    try:
+        counting(build_parser("verify").parse_args(["verify", str(out)]))
+        assert starts, "verifying the certificate starts no collection, so this guard shows nothing"
+        starts.clear()
+        monkeypatch.setattr(cli, "cmd_verify", counting)
+        assert main(["verify", str(out)]) == 0
+    finally:
+        gc.callbacks.remove(count_start)
+    assert starts == []
