@@ -335,23 +335,14 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The top-level parser with the subparser of ``command`` only, or
-    with all of them when ``command`` names none.  A lone subparser gets
-    the metavar argparse would derive from all five, so usage lines stay
-    the same; the full parser sets none, which keeps the wording of the
-    "required" and "invalid choice" errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of all five commands."""
     parser = argparse.ArgumentParser(
         prog="soficert",
         description="build and verify exact sofic-approximation certificates",
     )
-    if command in SUBCOMMANDS:
-        names, metavar = [command], "{" + ",".join(SUBCOMMANDS) + "}"
-    else:
-        names, metavar = list(SUBCOMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments = SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -359,7 +350,16 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # The subparser and the call on argv[1:] that the full parser would make,
+    # so a subcommand's help and errors read the same.  No subcommand, or an
+    # argument left over, goes through the full parser for its message.
+    args = rest = None
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"soficert {argv[0]}")
+        SUBCOMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     # A command's certificate arrays are acyclic and live until it returns,
     # so the cyclic collector would re-walk them and free nothing.
     enabled = gc.isenabled()

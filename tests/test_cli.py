@@ -603,7 +603,7 @@ def test_unknown_command_exits_2():
 
 
 # ---------------------------------------------------------------------------
-# parser construction: main() builds only the invoked subcommand's parser
+# parser construction: main() parses with the invoked subcommand's parser alone
 
 HELP_AND_ERROR_ARGVS = [
     [],
@@ -618,12 +618,22 @@ HELP_AND_ERROR_ARGVS = [
     ["verify", "cert.json", "extra.json"],
     ["verify", "cert.json", "--no-such-option"],
     ["--json", "verify", "cert.json"],
+    # boundaries of the lone subcommand parser and its fallback
+    ["verify"],
+    ["approx", "--config"],
+    ["verify", "c.json", "--json=yes"],
+    ["subgroup", "--rank", "2", "extra"],
+    ["verify", "a", "b", "--c"],
+    ["fuzz", "--cases", "0", "--no-such-option"],
+    ["verify", "-h", "--no-such-option"],
+    ["subgroup", "--rank=x"],
+    ["conj-demo", "--rank", "2", "--bogus"],
 ]
 
 
 def full_parser_main(argv):
     """``main`` as it ran when every call built all five subparsers."""
-    args = build_parser(None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 
@@ -645,23 +655,29 @@ def test_help_and_errors_match_the_full_parser(monkeypatch, capsys, columns, arg
     assert got[0] in (0, 2) and (got[1] or got[2])
 
 
-@pytest.mark.parametrize("argv, subparsers", [
+@pytest.mark.parametrize("argv, parsers", [
     *(([name, "-h"], 1) for name in SUBCOMMANDS),
-    (["-h"], 5),
-    (["no-such-command"], 5),
+    (["verify", "CERT"], 1),
+    (["-h"], 6),
+    (["no-such-command"], 6),
+    (["verify", "c.json", "--no-such-option"], 7),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-def test_main_builds_only_the_invoked_subparser(monkeypatch, capsys, argv, subparsers):
+def test_main_builds_only_the_invoked_subparser(monkeypatch, tmp_path, capsys, argv, parsers):
+    argv = [built_cert_path(tmp_path) if arg == "CERT" else arg for arg in argv]
     calls = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counting_add_parser(self, name, **kwargs):
-        calls.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
-    with pytest.raises(SystemExit):
-        main(argv)
-    assert len(calls) == subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == (2 if argv[-1] in ("no-such-command", "--no-such-option") else 0)
+    assert len(calls) == parsers
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -681,7 +697,11 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert proc.stderr.startswith("error [schema]: file:")
 
 
-@pytest.mark.parametrize("argv", [["verify", "-h"], ["-h"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [
+    ["verify", "-h"],
+    ["-h"],
+    ["verify", "c.json", "--no-such-option"],
+], ids=" ".join)
 def test_module_entry_point_reads_sys_argv_like_main(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")
     proc = run_python("-m", "soficert.cli", *argv)
@@ -942,7 +962,7 @@ def test_no_collection_starts_while_a_large_certificate_is_verified(tmp_path, mo
 
     gc.callbacks.append(count_start)
     try:
-        counting(build_parser("verify").parse_args(["verify", str(out)]))
+        counting(build_parser().parse_args(["verify", str(out)]))
         assert starts, "verifying the certificate starts no collection, so this guard shows nothing"
         starts.clear()
         monkeypatch.setattr(cli, "cmd_verify", counting)
