@@ -32,9 +32,7 @@ from .actions import (
     parse_element,
     point_rank,
 )
-from .builder import StageError, approximate
 from .certificate import Certificate, CertificateFormatError, epsilon_from_json, write_certificate
-from .harness import mutation_battery, oracle_agreement, oracle_cases
 from .stallings import DEFAULT_CORE_CAP, InseparableError, core_graph, hall_completion
 from .verifier import verify_certificate
 from .words import MAX_RANK, Word, parse_word
@@ -142,6 +140,10 @@ def _write(cert: Certificate, out: str) -> bool:
 
 
 def cmd_approx(args) -> int:
+    # builder and harness are imported by the commands that run them, so a
+    # verify or subgroup process never compiles or executes their code
+    from .builder import StageError, approximate
+
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -221,6 +223,8 @@ def cmd_subgroup(args) -> int:
 
 
 def cmd_conj_demo(args) -> int:
+    from .builder import StageError, approximate
+
     try:
         F = _word_list(args.f, args.rank)
         E = _word_list(args.e, args.rank)
@@ -250,6 +254,9 @@ def cmd_conj_demo(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .builder import approximate
+    from .harness import mutation_battery, oracle_agreement, oracle_cases
+
     w2 = lambda t: parse_word(t, 2)
     bases = [
         approximate(CosetAction(2, (w2("a"),)), [w2("a"), w2("b")], [w2(""), w2("b")]),

@@ -28,6 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
 from typing import Sequence
 
 from .actions import ActionSpec, act, element_invert, element_multiply, element_text
@@ -129,7 +130,7 @@ def check_orbit_witness(
                             for s, row in zip(s_list, pi) if row in repeats] if repeats else []
 
     exact = s_list == list(range(size))
-    s_pos = None if exact else {s: p for p, s in enumerate(s_list)}
+    s_pos = None if exact else dict(zip(s_list, count()))
     columns = list(zip(*pi))
     e_index = {x.letters: i for i, x in enumerate(E)}
     equivariance_failures = []
@@ -150,9 +151,9 @@ def check_orbit_witness(
         if exact:
             rows, moved = range(size), perm
         else:
-            pairs = [(p, s_pos[t]) for p, t in enumerate(map(perm.__getitem__, s_list))
-                     if t in s_pos]
-            rows, moved = [p for p, _ in pairs], [fp for _, fp in pairs]
+            ahead_rows = list(map(s_pos.get, map(perm.__getitem__, s_list)))
+            keep = list(map(operator.is_not, ahead_rows, repeat(None)))
+            rows, moved = list(compress(range(len(keep)), keep)), list(compress(ahead_rows, keep))
         triples += len(rows) * len(col_map)
         if not rows:
             continue

@@ -206,6 +206,50 @@ def test_importing_the_verifier_loads_only_its_trusted_modules():
         ["soficert"] + [f"soficert.{stem}" for stem in import_closure("verifier")])
 
 
+# the console entry point, ``soficert = soficert.cli:entry``, on the argv
+# after the script; the modules it loaded are the last line of its output
+RUN = """
+import json, sys
+import soficert.cli
+try:
+    soficert.cli.entry()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(n for n in sys.modules if n == "soficert" or n.startswith("soficert."))))
+"""
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """A directory holding a job config and the certificate built from it."""
+    from soficert.cli import main
+
+    directory = tmp_path_factory.mktemp("built")
+    job = {"action": {"kind": "coset", "rank": 2, "subgroup": ["a"]},
+           "F": ["a", "b"], "E": ["1", "b"]}
+    (directory / "job.json").write_text(json.dumps(job))
+    assert main(["approx", "--config", str(directory / "job.json"),
+                 "--out", str(directory / "cert.json")]) == 0
+    return directory
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["verify", "{dir}/cert.json"], []),
+    (["subgroup", "--rank", "2", "--gens", "a", "--avoid", "b"], []),
+    (["approx", "--config", "{dir}/job.json", "--out", "{dir}/rebuilt.json"], ["builder"]),
+    (["fuzz", "--cases", "1"], ["builder", "harness"]),
+], ids=["verify", "subgroup", "approx", "fuzz"])
+def test_each_subcommand_loads_only_the_modules_it_runs(built, argv, extra):
+    # a verify or subgroup process compiles the trusted modules and cli.py alone
+    argv = [arg.format(dir=built) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", RUN, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    stems = import_closure("verifier") | {"cli"} | set(extra)
+    assert json.loads(proc.stdout.splitlines()[-1]) == sorted(
+        ["soficert"] + [f"soficert.{stem}" for stem in stems])
+
+
 def line_count(stem):
     return len((PACKAGE / f"{stem}.py").read_text().splitlines())
 
@@ -242,5 +286,6 @@ def test_reimporting_the_package_frees_the_old_modules():
     proc = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    names = ["soficert"] + [f"soficert.{p.stem}" for p in MODULES if p.name != "__init__.py"]
+    names = ["soficert"] + [f"soficert.{p.stem}" for p in MODULES
+                            if p.stem not in ("__init__", "builder", "harness")]
     assert json.loads(proc.stdout) == sorted(names)

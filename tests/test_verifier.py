@@ -5,7 +5,9 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
-from soficert.actions import BiregularAction, CosetAction, RestrictedAction
+from soficert.actions import (
+    BiregularAction, CosetAction, RestrictedAction, act, element_invert, element_text,
+)
 from soficert.builder import approximate
 from soficert.certificate import (
     CertificateFormatError,
@@ -178,6 +180,36 @@ def test_equivariance_failure_names_triple():
     assert not report.accepted
     assert report.first_failure == "equivariance"
     assert any("s=" in msg and "g=" in msg for msg in report.orbit.equivariance_failures)
+
+
+def test_equivariance_messages_off_a_partial_window_match_a_point_walk():
+    # S drops point 0, so file positions and point names differ, and one
+    # row is swapped: the gathered column check must report exactly the
+    # (g, s, x) triples a point-by-point walk finds, in the same order
+    cert = approximate(COSET_A, F_AB + [w2("ab")], [w2(""), w2("b"), w2("bb"), w2("B")])
+    data = certificate_to_dict(cert)
+    data["epsilon"] = "1/2"
+    data["S"] = data["S"][1:]
+    data["pi"] = [row.copy() for row in data["pi"][1:]]
+    data["pi"][2][0], data["pi"][2][1] = data["pi"][2][1], data["pi"][2][0]
+    report = verify_certificate(data)
+    cert = certificate_from_dict(data)
+    row = dict(zip(data["S"], data["pi"]))
+    e_index = {x.letters: j for j, x in enumerate(cert.E)}
+    walk = []
+    for g in cert.F:
+        phi = cert.approx.permutation_of(g)
+        for s in data["S"]:
+            for i, x in enumerate(cert.E):
+                j = e_index.get(act(cert.action, element_invert(g), x).letters)
+                if phi[s] in row and j is not None and row[phi[s]][i] != row[s][j]:
+                    walk.append(f"pi_(phi(g)s)(x) != pi_s(g^-1.x) at s={s}, "
+                                f"g={element_text(g)!r}, x={x.text()!r}")
+    assert report.first_failure == "equivariance"
+    assert list(report.orbit.equivariance_failures) == walk == [
+        f"pi_(phi(g)s)(x) != pi_s(g^-1.x) at s={s}, g={g!r}, x={x!r}"
+        for s, g, x in [(3, "b", "b"), (3, "b", "bb"), (5, "b", "1"), (5, "b", "b"),
+                        (5, "ab", "1")]]
 
 
 def test_epsilon_branch_cardinality():
