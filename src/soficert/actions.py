@@ -17,13 +17,12 @@ Three action kinds are supported:
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from . import stallings
 from .stallings import StallingsGraph, core_graph, coset_canonical_word
-from .words import MAX_RANK, Word, identity, invert, multiply, parse_word, product
+from .words import MAX_RANK, Record, Word, identity, invert, multiply, parse_word, product
 
 
 def _check_rank(rank: int) -> None:
@@ -31,45 +30,43 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
 
 
-@dataclass(frozen=True)
-class CosetAction:
-    rank: int
-    subgroup: tuple[Word, ...] = ()
+class CosetAction(Record):
+    __slots__ = ("rank", "subgroup")
 
-    def __post_init__(self) -> None:
-        _check_rank(self.rank)
-        for w in self.subgroup:
-            if w.rank != self.rank:
+    def __init__(self, rank: int, subgroup: tuple[Word, ...]) -> None:
+        _check_rank(rank)
+        for w in subgroup:
+            if w.rank != rank:
                 raise ValueError("subgroup generator rank mismatch")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "subgroup", subgroup)
 
     @property
     def graph(self) -> StallingsGraph:
         return _coset_graph(self.rank, self.subgroup)
 
 
-@dataclass(frozen=True)
-class BiregularAction:
-    rank: int
+class BiregularAction(Record):
+    __slots__ = ("rank",)
 
-    def __post_init__(self) -> None:
-        _check_rank(self.rank)
+    def __init__(self, rank: int) -> None:
+        _check_rank(rank)
+        object.__setattr__(self, "rank", rank)
 
 
 GroupElement = Word | tuple[Word, Word]
 
 
-@dataclass(frozen=True)
-class RestrictedAction:
-    inner: "ActionSpec"
-    images: tuple[GroupElement, ...]
+class RestrictedAction(Record):
+    __slots__ = ("inner", "images")
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.images) <= MAX_RANK:
-            raise ValueError(
-                f"a restricted action needs 1 to {MAX_RANK} images, got {len(self.images)}"
-            )
-        for g in self.images:
-            check_element(self.inner, g)
+    def __init__(self, inner: "ActionSpec", images: tuple[GroupElement, ...]) -> None:
+        if not 1 <= len(images) <= MAX_RANK:
+            raise ValueError(f"a restricted action needs 1 to {MAX_RANK} images, got {len(images)}")
+        for g in images:
+            check_element(inner, g)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "images", images)
 
 
 ActionSpec = CosetAction | BiregularAction | RestrictedAction

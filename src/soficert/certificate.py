@@ -14,7 +14,6 @@ import json
 import os
 import re
 import reprlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -24,24 +23,26 @@ from .actions import (
     canonical_point, element_text, parse_element, point_rank,
 )
 from .permutations import compose, identity_perm, inverse
-from .words import Word, parse_word
+from .words import Record, Word, parse_word
 
 
-@dataclass(frozen=True)
-class SoficApproximation:
+class SoficApproximation(Record):
     """Generator images in Sym(carrier).  ``group_kind`` is "free" for a
     single free group (``rank`` arrays) or "product" for G x G (``2 *
     rank`` arrays, left-factor generators first)."""
 
-    group_kind: str
-    rank: int
-    size: int
-    images: tuple[tuple[int, ...], ...]
+    __slots__ = ("group_kind", "rank", "size", "images", "__dict__")
 
-    def __post_init__(self) -> None:
-        expected = self.rank if self.group_kind == "free" else 2 * self.rank
-        if len(self.images) != expected:
-            raise ValueError(f"expected {expected} generator images, got {len(self.images)}")
+    def __init__(
+        self, group_kind: str, rank: int, size: int, images: tuple[tuple[int, ...], ...]
+    ) -> None:
+        expected = rank if group_kind == "free" else 2 * rank
+        if len(images) != expected:
+            raise ValueError(f"expected {expected} generator images, got {len(images)}")
+        object.__setattr__(self, "group_kind", group_kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "images", images)
 
     @cached_property
     def inverse_images(self) -> list[tuple[int, ...] | None]:
@@ -80,28 +81,37 @@ class SoficApproximation:
         return perm
 
 
-@dataclass(frozen=True)
-class OrbitWitness:
+class OrbitWitness(Record):
     """Finite orbit data: injections pi_s : E -> B for each s in S.
 
     ``pi`` rows align with ``s_points``, columns with the certificate's E,
     and values index into ``b_labels``.
     """
 
-    s_points: tuple[int, ...]
-    b_labels: tuple[int, ...]
-    pi: tuple[tuple[int, ...], ...]
+    __slots__ = ("s_points", "b_labels", "pi")
+
+    def __init__(
+        self, s_points: tuple[int, ...], b_labels: tuple[int, ...], pi: tuple[tuple[int, ...], ...]
+    ) -> None:
+        object.__setattr__(self, "s_points", s_points)
+        object.__setattr__(self, "b_labels", b_labels)
+        object.__setattr__(self, "pi", pi)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    action: ActionSpec
-    F: tuple[GroupElement, ...]
-    E: tuple[Word, ...]
-    epsilon: Fraction
-    approx: SoficApproximation
-    witness: OrbitWitness
-    provenance: Mapping = field(default_factory=dict)
+class Certificate(Record):
+    __slots__ = ("action", "F", "E", "epsilon", "approx", "witness", "provenance")
+
+    def __init__(
+        self, action: ActionSpec, F: tuple[GroupElement, ...], E: tuple[Word, ...],
+        epsilon: Fraction, approx: SoficApproximation, witness: OrbitWitness, provenance: Mapping,
+    ) -> None:
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "approx", approx)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "provenance", provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +166,14 @@ def _create_beside(path: str) -> tuple[str, int]:
 def write_certificate(cert: Certificate, path: str) -> None:
     """Write one top-level key per line, in sorted order, each value in
     compact JSON with sorted keys.  ``json.dumps`` runs CPython's C
-    encoder only without ``indent``; readers take any layout.  The file
-    is written beside ``path`` and renamed over it; if the write or the
-    rename fails, the temporary file is removed and the error raised."""
+    encoder only without ``indent``; readers take any layout.  The data
+    is acyclic by construction, so the encoder skips its cycle check.
+    The file is written beside ``path`` and renamed over it; if the write
+    or the rename fails, the temporary file is removed and the error
+    raised."""
     data = _fields(cert)
-    lines = (f"{json.dumps(key)}: {json.dumps(data[key], separators=(',', ':'), sort_keys=True)}"
+    lines = (f"{json.dumps(key)}: "
+             f"{json.dumps(data[key], separators=(',', ':'), sort_keys=True, check_circular=False)}"
              for key in sorted(data))
     payload = "{\n" + ",\n".join(lines) + "\n}\n"
     tmp, fd = _create_beside(path)

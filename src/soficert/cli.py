@@ -18,7 +18,6 @@ import gc
 import json
 import reprlib
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import (
@@ -35,20 +34,25 @@ from .actions import (
 from .certificate import Certificate, CertificateFormatError, epsilon_from_json, write_certificate
 from .stallings import DEFAULT_CORE_CAP, InseparableError, core_graph, hall_completion
 from .verifier import verify_certificate
-from .words import MAX_RANK, Word, parse_word
+from .words import MAX_RANK, Record, Word, parse_word
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(Record):
     """A build job: action, F, E, tolerance, strategy, core cap, output path."""
 
-    action: ActionSpec
-    F: tuple[GroupElement, ...]
-    E: tuple[Word, ...]
-    epsilon: Fraction
-    strategy: str
-    core_cap: int
-    out: str | None
+    __slots__ = ("action", "F", "E", "epsilon", "strategy", "core_cap", "out")
+
+    def __init__(
+        self, action: ActionSpec, F: tuple[GroupElement, ...], E: tuple[Word, ...],
+        epsilon: Fraction, strategy: str, core_cap: int, out: str | None,
+    ) -> None:
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "core_cap", core_cap)
+        object.__setattr__(self, "out", out)
 
 
 JOB_FIELDS = ("action", "F", "E", "epsilon", "strategy", "caps", "out")

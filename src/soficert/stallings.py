@@ -25,7 +25,6 @@ Conventions fixed once and shared by every module:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Sequence
@@ -33,7 +32,7 @@ from typing import Sequence
 from .permutations import (
     BYTES_DEGREE_MAX, _gather, byte_table, identity_perm, inverse, is_permutation, order_bound,
 )
-from .words import Word, invert
+from .words import Record, Word, invert
 
 DEFAULT_CORE_CAP = 10**6
 
@@ -54,13 +53,18 @@ class CoreTooLargeError(RuntimeError):
 # folded graphs
 
 
-@dataclass(frozen=True)
-class StallingsGraph:
-    """Folded, based (basepoint 0), edge-labeled graph with labels 1..rank."""
+class StallingsGraph(Record):
+    """Folded, based (basepoint 0), edge-labeled graph with labels 1..rank;
+    ``edges`` holds its (source, label, target) triples, sorted."""
 
-    rank: int
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]  # sorted (source, label, target)
+    __slots__ = ("rank", "vertex_count", "edges", "__dict__")
+
+    def __init__(
+        self, rank: int, vertex_count: int, edges: tuple[tuple[int, int, int], ...]
+    ) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def _steps(self) -> dict[tuple[int, int], int]:
@@ -215,20 +219,20 @@ def coset_canonical_word(graph: StallingsGraph, w: Word) -> Word:
 # coset tables
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Record):
     """Complete permutation table: one permutation per generator."""
 
-    rank: int
-    size: int
-    images: tuple[tuple[int, ...], ...]
+    __slots__ = ("rank", "size", "images", "__dict__")
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.rank:
+    def __init__(self, rank: int, size: int, images: tuple[tuple[int, ...], ...]) -> None:
+        if len(images) != rank:
             raise ValueError("need one image array per generator")
-        for img in self.images:
-            if not is_permutation(img, self.size):
-                raise ValueError(f"image array {img} is not a permutation of {self.size} points")
+        for img in images:
+            if not is_permutation(img, size):
+                raise ValueError(f"image array {img} is not a permutation of {size} points")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "images", images)
 
     @cached_property
     def inverses(self) -> tuple[tuple[int, ...], ...]:
@@ -292,8 +296,6 @@ class ImageGroup:
     ``encoded`` holds the elements as the closure stored them: bytes on
     at most ``BYTES_DEGREE_MAX`` points, tuples above; ``elements``
     decodes them to tuples on first read.  ``len`` is the group order.
-    A plain class: a dataclass would add about a millisecond to every
-    import of the package.
     """
 
     def __init__(

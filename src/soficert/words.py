@@ -4,32 +4,74 @@ A word is a tuple of nonzero signed integers: ``1..rank`` are the
 generators, negative values their inverses.  The text form uses ``a-z``
 for generators and ``A-Z`` for inverses, with ``"1"`` (or the empty
 string) for the identity.  Every ``Word`` is freely reduced; the
-constructors below enforce this.
+constructors below enforce this.  ``Record`` is the base of the
+package's value classes.
 """
 
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 MAX_RANK = 26
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: tuple[int, ...]
-    rank: int
+class Record:
+    """An immutable value whose fields are the names in ``__slots__``, in
+    order, but ``"__dict__"``, which a ``cached_property`` needs.  Equal
+    records share a class and equal fields, the hash is the field tuple's,
+    the repr is ``Name(field=value, ...)``, and assigning or deleting any
+    attribute raises ``AttributeError``.  Each subclass's ``__init__``
+    sets its fields with ``object.__setattr__``.  A plain class, not a
+    frozen dataclass: the decorator runs six generated ``exec``s per
+    class at every import of the package, and ``dataclasses`` loads
+    ``inspect`` into every process."""
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.rank <= MAX_RANK:
-            raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {self.rank}")
-        for l in self.letters:
-            if l == 0 or abs(l) > self.rank:
-                raise ValueError(f"letter {l} out of range for rank {self.rank}")
-        for a, b in zip(self.letters, self.letters[1:]):
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle would restore slots through the raising __setattr__
+        return type(self), self._values()
+
+
+class Word(Record):
+    __slots__ = ("letters", "rank")
+
+    def __init__(self, letters: tuple[int, ...], rank: int) -> None:
+        if not 1 <= rank <= MAX_RANK:
+            raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
+        for l in letters:
+            if l == 0 or abs(l) > rank:
+                raise ValueError(f"letter {l} out of range for rank {rank}")
+        for a, b in zip(letters, letters[1:]):
             if a == -b:
-                raise ValueError(f"word {self.letters} is not freely reduced")
+                raise ValueError(f"word {letters} is not freely reduced")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
 
     def __len__(self) -> int:
         return len(self.letters)

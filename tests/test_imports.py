@@ -207,7 +207,8 @@ def test_importing_the_verifier_loads_only_its_trusted_modules():
 
 
 # the console entry point, ``soficert = soficert.cli:entry``, on the argv
-# after the script; the modules it loaded are the last line of its output
+# after the script; the last two lines of its output are the package
+# modules it loaded and which of ``dataclasses`` and ``inspect`` it loaded
 RUN = """
 import json, sys
 import soficert.cli
@@ -216,6 +217,7 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 print(json.dumps(sorted(n for n in sys.modules if n == "soficert" or n.startswith("soficert."))))
+print(json.dumps([n for n in ("dataclasses", "inspect") if n in sys.modules]))
 """
 
 
@@ -240,14 +242,16 @@ def built(tmp_path_factory):
     (["fuzz", "--cases", "1"], ["builder", "harness"]),
 ], ids=["verify", "subgroup", "approx", "fuzz"])
 def test_each_subcommand_loads_only_the_modules_it_runs(built, argv, extra):
-    # a verify or subgroup process compiles the trusted modules and cli.py alone
+    # a verify or subgroup process compiles the trusted modules and cli.py
+    # alone, and no process loads dataclasses or, through it, inspect
     argv = [arg.format(dir=built) for arg in argv]
     proc = subprocess.run([sys.executable, "-c", RUN, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     stems = import_closure("verifier") | {"cli"} | set(extra)
-    assert json.loads(proc.stdout.splitlines()[-1]) == sorted(
-        ["soficert"] + [f"soficert.{stem}" for stem in stems])
+    *_, package, stdlib = proc.stdout.splitlines()
+    assert json.loads(package) == sorted(["soficert"] + [f"soficert.{stem}" for stem in stems])
+    assert json.loads(stdlib) == []
 
 
 def line_count(stem):
