@@ -11,10 +11,11 @@ Usage: python3 scripts/demo_pipeline.py [--strategy literal]
 import argparse
 import json
 
-from soficert.actions import CosetAction, separation_targets
-from soficert.builder import approximate
+from soficert.actions import CosetAction
+from soficert.builder import approximate, separation_targets
 from soficert.certificate import certificate_to_dict
-from soficert.stallings import core_graph, coset_of, hall_completion, image_group
+from soficert.quotients import coset_of, hall_completion, image_group
+from soficert.stallings import core_graph
 from soficert.verifier import verify_certificate
 from soficert.words import parse_word
 

@@ -20,9 +20,8 @@ import reprlib
 from functools import lru_cache
 from typing import Sequence
 
-from . import stallings
 from .stallings import StallingsGraph, core_graph, coset_canonical_word
-from .words import MAX_RANK, Record, Word, identity, invert, multiply, parse_word, product
+from .words import MAX_RANK, Record, Word, identity, invert, multiply, parse_word
 
 
 def _check_rank(rank: int) -> None:
@@ -175,61 +174,6 @@ def act(spec: ActionSpec, g: GroupElement, x: Word) -> Word:
         h, k = g
         return multiply(h, multiply(x, invert(k)))
     return act(spec.inner, apply_images(spec.images, g), x)
-
-
-# ---------------------------------------------------------------------------
-# separation targets
-
-
-def pairwise_differences(points: Sequence[Word]) -> list[Word]:
-    """x^-1 y over ordered pairs of distinct points, each word once, in the
-    order the pairs are first met."""
-    seen: set[tuple[int, ...]] = set()
-    out: list[Word] = []
-    for x in points:
-        for y in points:
-            if x.letters != y.letters:
-                w = multiply(invert(x), y)
-                if w.letters not in seen:
-                    seen.add(w.letters)
-                    out.append(w)
-    return out
-
-
-def separation_targets(
-    spec: CosetAction, F: Sequence[Word], E: Sequence[Word]
-) -> tuple[list[Word], list[Word]]:
-    """Words a separating subgroup must avoid / contain.
-
-    T_avoid collects sigma(x)^-1 sigma(y) over distinct points of E (none
-    of which lie in H), T_contain collects sigma(alpha(g^-1)x)^-1 g^-1 sigma(x)
-    over F x E (all of which lie in H).  Both facts are asserted here;
-    a failure would mean the coset algebra itself is broken.
-    """
-    if not isinstance(spec, CosetAction):
-        raise TypeError("separation targets are defined for coset actions")
-    sigma = [canonical_point(spec, x) for x in E]
-    if len({w.letters for w in sigma}) != len(sigma):
-        raise ValueError("duplicate points in E")
-    graph = spec.graph
-    t_avoid = pairwise_differences(sigma)
-    for w in t_avoid:
-        if stallings.contains(graph, w):
-            raise AssertionError(
-                f"separation sanity violated: {w.text()} in H for distinct cosets"
-            )
-    t_contain: list[Word] = []
-    for g in F:
-        for x in sigma:
-            y = act(spec, invert(g), x)
-            w = product([invert(y), invert(g), x], spec.rank)
-            if not stallings.contains(graph, w):
-                raise AssertionError(
-                    f"separation sanity violated: {w.text()} escapes H"
-                )
-            if all(w.letters != u.letters for u in t_contain):
-                t_contain.append(w)
-    return t_avoid, t_contain
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ walks every generator orbit of the carrier from a seed row and sets
 row(phi(g)s) = row(s) . g_B^-1, keeping the columns at E's labels.
 
 * literal — for a separating table K of index n (left cosets labeled as
-  in :mod:`soficert.stallings`), A is all of Sym(n); g acts by left
+  in :mod:`soficert.quotients`), A is all of Sym(n); g acts by left
   composition with the permutation by which g left-multiplies the
   cosets; B is the n cosets and each orbit is seeded with s^-1.
 * core — the quotient by the normal core, realized as the group Q
@@ -43,29 +43,32 @@ from typing import Callable, Sequence
 from .actions import (
     ActionSpec,
     BiregularAction,
+    CosetAction,
     GroupElement,
     RestrictedAction,
+    act,
     action_to_json,
     apply_images,
     canonical_point,
     check_element,
-    pairwise_differences,
-    separation_targets,
 )
 from .certificate import Certificate, OrbitWitness, SoficApproximation
-from .permutations import BYTES_DEGREE_MAX, _gather, byte_table, compose, identity_perm, inverse, order_bound
-from .stallings import (
+from .permutations import _gather, compose, identity_perm, inverse
+from .quotients import (
+    BYTES_DEGREE_MAX,
     DEFAULT_CORE_CAP,
     CoreTooLargeError,
     CosetTable,
     ImageGroup,
-    core_graph,
+    byte_table,
     coset_of,
     hall_completion,
     image_group,
     left_coset_of,
+    order_bound,
 )
-from .words import Word
+from .stallings import contains, core_graph
+from .words import Word, invert, multiply, product
 
 DEFAULT_EPSILON = Fraction(0)
 
@@ -92,6 +95,64 @@ class StageError(RuntimeError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage}: {cause}")
+
+
+# ---------------------------------------------------------------------------
+# separation targets
+
+
+def pairwise_differences(points: Sequence[Word]) -> list[Word]:
+    """x^-1 y over ordered pairs of distinct points, each word once, in the
+    order the pairs are first met."""
+    seen: set[tuple[int, ...]] = set()
+    out: list[Word] = []
+    for x in points:
+        for y in points:
+            if x.letters != y.letters:
+                w = multiply(invert(x), y)
+                if w.letters not in seen:
+                    seen.add(w.letters)
+                    out.append(w)
+    return out
+
+
+def separation_targets(
+    spec: CosetAction, F: Sequence[Word], E: Sequence[Word]
+) -> tuple[list[Word], list[Word]]:
+    """Words a separating subgroup must avoid / contain.
+
+    T_avoid collects sigma(x)^-1 sigma(y) over distinct points of E (none
+    of which lie in H), T_contain collects sigma(alpha(g^-1)x)^-1 g^-1 sigma(x)
+    over F x E (all of which lie in H), each word once in the order first
+    met.  Both facts are asserted here; a failure would mean the coset
+    algebra itself is broken.
+    """
+    if not isinstance(spec, CosetAction):
+        raise TypeError("separation targets are defined for coset actions")
+    sigma = [canonical_point(spec, x) for x in E]
+    if len({w.letters for w in sigma}) != len(sigma):
+        raise ValueError("duplicate points in E")
+    graph = spec.graph
+    t_avoid = pairwise_differences(sigma)
+    for w in t_avoid:
+        if contains(graph, w):
+            raise AssertionError(
+                f"separation sanity violated: {w.text()} in H for distinct cosets"
+            )
+    t_contain: list[Word] = []
+    seen: set[tuple[int, ...]] = set()
+    for g in F:
+        for x in sigma:
+            y = act(spec, invert(g), x)
+            w = product([invert(y), invert(g), x], spec.rank)
+            if not contains(graph, w):
+                raise AssertionError(
+                    f"separation sanity violated: {w.text()} escapes H"
+                )
+            if w.letters not in seen:
+                seen.add(w.letters)
+                t_contain.append(w)
+    return t_avoid, t_contain
 
 
 # ---------------------------------------------------------------------------

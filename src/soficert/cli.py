@@ -5,10 +5,11 @@ verify (check a certificate file), subgroup (inspect a subgroup graph
 and optionally its Hall separator), conj-demo (build and check the
 conjugation-action certificate), fuzz (mutation and oracle harnesses).
 
-Exit codes: 0 accept/success, 1 reject, 2 malformed input or pipeline
-error.  All numerics in configs and outputs are integers or "p/q"
-rational strings; certificate files hold one sorted top-level key per
-line with compact values, so identical jobs produce byte-identical files.
+Exit codes: 0 accept/success, 1 reject, 2 malformed input, a pipeline
+error or a write error, a closed stdout included.  All numerics in
+configs and outputs are integers or "p/q" rational strings; certificate
+files hold one sorted top-level key per line with compact values, so
+identical jobs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import reprlib
 import sys
 from fractions import Fraction
@@ -32,7 +34,7 @@ from .actions import (
     point_rank,
 )
 from .certificate import Certificate, CertificateFormatError, epsilon_from_json, write_certificate
-from .stallings import DEFAULT_CORE_CAP, InseparableError, core_graph, hall_completion
+from .stallings import core_graph
 from .verifier import verify_certificate
 from .words import MAX_RANK, Record, Word, parse_word
 
@@ -70,6 +72,8 @@ def job_from_dict(data: dict) -> JobConfig:
     """Parse a job config; a key outside ``JOB_FIELDS``, a cap other
     than ``core_cap``, or ``strategy`` or ``caps`` over a biregular
     action raises ValueError starting with the key."""
+    from .quotients import DEFAULT_CORE_CAP
+
     if not isinstance(data, dict):
         raise ValueError("job config must be a JSON object")
     for key in data:
@@ -144,8 +148,8 @@ def _write(cert: Certificate, out: str) -> bool:
 
 
 def cmd_approx(args) -> int:
-    # builder and harness are imported by the commands that run them, so a
-    # verify or subgroup process never compiles or executes their code
+    # builder, quotients and harness are imported by the commands that run
+    # them, so a verify process never compiles or executes their code
     from .builder import StageError, approximate
 
     try:
@@ -195,6 +199,8 @@ def _word_list(text: str, rank: int) -> list[Word]:
 
 
 def cmd_subgroup(args) -> int:
+    from .quotients import InseparableError, hall_completion
+
     if not 1 <= args.rank <= MAX_RANK:
         print(f"error [config]: rank must be between 1 and {MAX_RANK}, got {args.rank}",
               file=sys.stderr)
@@ -383,7 +389,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # a reader that closed stdout early, such as head; point stdout at
+        # the null device so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error [write]: <stdout>: {exc.strerror}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ import time
 
 import pytest
 
-from soficert.actions import BiregularAction, CosetAction, RestrictedAction, separation_targets
-from soficert.builder import approximate, restrict_certificate
+from soficert.actions import BiregularAction, CosetAction, RestrictedAction
+from soficert.builder import approximate, restrict_certificate, separation_targets
 from soficert.cli import main
 from soficert.harness import mutation_battery, oracle_agreement, oracle_cases
-from soficert.stallings import contains, core_graph, coset_of, hall_completion
+from soficert.quotients import coset_of, hall_completion
+from soficert.stallings import contains, core_graph
 from soficert.words import Word, parse_word
 
 # rank, subgroup generators, F, E -- generator counts <= 3, word lengths

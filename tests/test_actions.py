@@ -13,9 +13,8 @@ from soficert.actions import (
     canonical_point,
     element_invert,
     element_multiply,
-    pairwise_differences,
-    separation_targets,
 )
+from soficert.builder import pairwise_differences, separation_targets
 from soficert.stallings import contains, core_graph
 from soficert.words import identity, invert, multiply, parse_word
 

@@ -11,8 +11,6 @@ from soficert.actions import (
     CosetAction,
     RestrictedAction,
     canonical_point,
-    pairwise_differences,
-    separation_targets,
 )
 from soficert.builder import (
     LITERAL_DEGREE_MAX,
@@ -23,7 +21,9 @@ from soficert.builder import (
     approximate,
     finite_index_witness,
     orbit_witness,
+    pairwise_differences,
     restrict_certificate,
+    separation_targets,
 )
 from soficert.certificate import (
     Certificate,
@@ -36,15 +36,15 @@ from soficert.certificate import (
     write_certificate,
 )
 from soficert.permutations import compose, inverse
-from soficert.stallings import (
+from soficert.quotients import (
     CoreTooLargeError,
     CosetTable,
-    core_graph,
     coset_of,
     hall_completion,
     image_group,
     left_coset_of,
 )
+from soficert.stallings import core_graph
 from soficert.verifier import verify_certificate
 from soficert.words import Word, parse_word
 

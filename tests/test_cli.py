@@ -683,11 +683,11 @@ def test_main_builds_only_the_invoked_subparser(monkeypatch, tmp_path, capsys, a
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE):
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60
     )
 
 
@@ -695,6 +695,24 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     proc = run_python("-m", "soficert.cli", "verify", str(tmp_path / "missing.json"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error [schema]: file:")
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_closed_stdout_is_a_write_error(tmp_path, flags):
+    # a reader that closes the pipe before anything is written, as
+    # ``| head`` may: one error line and exit 2, after the certificate
+    read, write = os.pipe()
+    os.close(read)
+    out = tmp_path / "cert.json"
+    try:
+        proc = run_python("-m", "soficert.cli", "approx", "--config", write_job(tmp_path, COSET_JOB),
+                          "--out", str(out), *flags, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    # the whole of stderr: no traceback, no "Exception ignored" at exit
+    assert proc.stderr == "error [write]: <stdout>: Broken pipe\n"
+    assert main(["verify", str(out)]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -145,6 +145,14 @@ def passes(call, name, index):
             or index is not None and len(call.args) > index)
 
 
+def callee_names(qualname, node, in_class):
+    """The names a call to ``node`` is spelled with: its own, and for a
+    class's ``__init__`` also the class's, since ``ClassName(...)`` runs it."""
+    if in_class and node.name == "__init__":
+        return [node.name, qualname.split(".")[-2]]
+    return [node.name]
+
+
 def test_every_defaulted_parameter_is_passed():
     # a default that no call overrides is a setting nobody uses; a call
     # matches a function by its name, bare or as an attribute
@@ -159,7 +167,9 @@ def test_every_defaulted_parameter_is_passed():
                 for stem, tree in trees.items()
                 for qualname, node, in_class in functions(tree, stem)
                 for name, index in defaulted_parameters(node, in_class)
-                if not any(passes(call, name, index) for call in calls.get(node.name, []))]
+                if not any(passes(call, name, index)
+                           for callee in callee_names(qualname, node, in_class)
+                           for call in calls.get(callee, []))]
     assert sorted(set(unpassed) - UNPASSED_DEFAULTS_ALLOWED) == []
 
 
@@ -181,12 +191,22 @@ def import_closure(stem):
     return closure
 
 
+# the builder's finite-quotient code, which lives in quotients.py and builder.py
+BUILDER_ONLY = {"hall_completion", "CosetTable", "image_group", "ImageGroup", "order_bound",
+                "separation_targets", "pairwise_differences"}
+
+
 def test_verifier_trusts_only_the_certificate_format_and_the_point_algebra():
     # the code that must be right for an accepted certificate to be
-    # correct; the builder, the harnesses and the CLI are outside it
-    assert import_closure("verifier") == {
-        "verifier", "certificate", "actions", "stallings", "permutations", "words"}
+    # correct; the builder, its quotients, the harnesses and the CLI are
+    # outside it
+    closure = import_closure("verifier")
+    assert closure == {"verifier", "certificate", "actions", "stallings", "permutations", "words"}
     assert import_closure("certificate").isdisjoint({"builder", "verifier", "harness", "cli"})
+    defined = {(stem, node.name) for stem in closure
+               for node in ast.parse((PACKAGE / f"{stem}.py").read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in BUILDER_ONLY}
+    assert defined == set()
 
 
 LOADED = """
@@ -237,13 +257,14 @@ def built(tmp_path_factory):
 
 @pytest.mark.parametrize("argv, extra", [
     (["verify", "{dir}/cert.json"], []),
-    (["subgroup", "--rank", "2", "--gens", "a", "--avoid", "b"], []),
-    (["approx", "--config", "{dir}/job.json", "--out", "{dir}/rebuilt.json"], ["builder"]),
-    (["fuzz", "--cases", "1"], ["builder", "harness"]),
+    (["subgroup", "--rank", "2", "--gens", "a", "--avoid", "b"], ["quotients"]),
+    (["approx", "--config", "{dir}/job.json", "--out", "{dir}/rebuilt.json"],
+     ["builder", "quotients"]),
+    (["fuzz", "--cases", "1"], ["builder", "harness", "quotients"]),
 ], ids=["verify", "subgroup", "approx", "fuzz"])
 def test_each_subcommand_loads_only_the_modules_it_runs(built, argv, extra):
-    # a verify or subgroup process compiles the trusted modules and cli.py
-    # alone, and no process loads dataclasses or, through it, inspect
+    # a verify process compiles the trusted modules and cli.py alone, and
+    # no process loads dataclasses or, through it, inspect
     argv = [arg.format(dir=built) for arg in argv]
     proc = subprocess.run([sys.executable, "-c", RUN, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
@@ -291,5 +312,5 @@ def test_reimporting_the_package_frees_the_old_modules():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     names = ["soficert"] + [f"soficert.{p.stem}" for p in MODULES
-                            if p.stem not in ("__init__", "builder", "harness")]
+                            if p.stem not in ("__init__", "builder", "harness", "quotients")]
     assert json.loads(proc.stdout) == sorted(names)

@@ -8,10 +8,11 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 import soficert.permutations as permutations
-from soficert.actions import CosetAction, canonical_point, separation_targets
-from soficert.builder import StageError, approximate
-from soficert.permutations import compose, identity_perm, is_permutation, order_bound
-from soficert.stallings import CoreTooLargeError, hall_completion, image_group
+import soficert.quotients as quotients
+from soficert.actions import CosetAction, canonical_point
+from soficert.builder import StageError, approximate, separation_targets
+from soficert.permutations import compose, identity_perm, is_permutation
+from soficert.quotients import CoreTooLargeError, hall_completion, image_group, order_bound
 from soficert.words import parse_word
 from test_acceptance import FIXTURES
 
@@ -96,7 +97,8 @@ def test_stretch_tables_refused_before_enumeration(monkeypatch, sub, E):
         calls += 1
         return compose(p, q)
 
-    monkeypatch.setattr(permutations, "compose", counted)
+    for module in (permutations, quotients):
+        monkeypatch.setattr(module, "compose", counted)
     with pytest.raises(CoreTooLargeError) as info:
         image_group(table.images, table.size, 10**5)
     assert str(info.value).startswith(f"image group exceeds cap 100000 on {table.size} points")

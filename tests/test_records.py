@@ -11,7 +11,8 @@ import pytest
 from soficert.actions import BiregularAction, CosetAction, RestrictedAction
 from soficert.certificate import Certificate, OrbitWitness, SoficApproximation
 from soficert.cli import JobConfig
-from soficert.stallings import CosetTable, StallingsGraph
+from soficert.quotients import CosetTable
+from soficert.stallings import StallingsGraph
 from soficert.verifier import OrbitCheck, VerificationReport
 from soficert.words import Word
 

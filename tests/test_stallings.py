@@ -10,17 +10,16 @@ from hypothesis import given
 from soficert import stallings
 from soficert.certificate import SoficApproximation
 from soficert.permutations import compose, inverse
-from soficert.stallings import (
+from soficert.quotients import (
     CoreTooLargeError,
     CosetTable,
     InseparableError,
-    contains,
-    core_graph,
     coset_of,
     hall_completion,
     image_group,
     left_coset_of,
 )
+from soficert.stallings import contains, core_graph
 from soficert.words import Word, free_reduce, identity, invert, multiply, parse_word
 
 
