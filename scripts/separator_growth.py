@@ -1,8 +1,8 @@
 """Tabulate separator index and carrier size across a subgroup family.
 
 For each subgroup the table shows the Hall separator's index n, the
-carrier size of the core strategy (the permutation image group, at most
-n!) against the literal strategy's n!, and the build + verify wall time.
+carrier size (the permutation image group, a subgroup of Sym(n)) against
+n! = |Sym(n)|, and the build + verify wall time.
 Everything must verify exactly; a reject in the last column would be a
 bug.
 
@@ -55,11 +55,11 @@ def main() -> None:
         report = verify_certificate(cert)
         elapsed = time.perf_counter() - started
         n = cert.provenance["separator"]["index"]
-        literal = math.factorial(n)
+        sym = math.factorial(n)
         label = "<" + ", ".join(gens) + ">" if gens else "<trivial>"
         verdict = "accept" if report.accepted else "REJECT"
-        print(f"{label:<22} {n:>5} {cert.approx.size:>9} {literal:>9} "
-              f"{literal // cert.approx.size:>6}x {elapsed:>7.3f}s  {verdict}")
+        print(f"{label:<22} {n:>5} {cert.approx.size:>9} {sym:>9} "
+              f"{sym // cert.approx.size:>6}x {elapsed:>7.3f}s  {verdict}")
 
 
 if __name__ == "__main__":

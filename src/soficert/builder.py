@@ -5,30 +5,30 @@ genuine homomorphism into Sym(A), S is all of A, and the orbit witness
 satisfies its equivariance equalities on the nose, so the claimed
 epsilon is always 0.
 
-Each construction is a finite quotient acting on a finite label set B,
-and one routine, :func:`orbit_witness`, fills pi for all of them: it
-walks every generator orbit of the carrier from a seed row and sets
+Each construction is a finite group acting on itself by left
+translation, which is one orbit whose point 0 is the identity, and one
+routine, :func:`orbit_witness`, fills pi for all of them: it walks the
+carrier from point 0, whose row is the identity, and sets
 row(phi(g)s) = row(s) . g_B^-1, keeping the columns at E's labels.
 
-* literal — for a separating table K of index n (left cosets labeled as
-  in :mod:`soficert.quotients`), A is all of Sym(n); g acts by left
+* core — for a separating table K of index n (left cosets labeled as in
+  :mod:`soficert.quotients`), A is the group Q generated by the coset
+  permutations, the quotient by the normal core of K; g acts by left
   composition with the permutation by which g left-multiplies the
-  cosets; B is the n cosets and each orbit is seeded with s^-1.
-* core — the quotient by the normal core, realized as the group Q
-  generated by the coset permutations; same shape, s ranges over Q only.
-  The closure that lists Q keeps every product it forms, and phi is
-  read off its move rows.
+  cosets; B is the n cosets and the row of s is s^-1.  The closure that
+  lists Q keeps every product it forms, and phi is read off its move
+  rows.
 * biregular — G x G acting on G uses the product carrier Q x Q for a
   finite quotient Q in which the pairwise point differences survive;
   B is Q, moved by left translations and by q -> q a^-1.
 
-Infinite-index coset actions reach the finite-index constructions
+Infinite-index coset actions reach the finite-index construction
 through a Hall completion that separates finitely many coset relations;
 E's points are then labeled by their left cosets of the completion.
 
-The one size setting is ``core_cap``; the literal degree and the
-biregular quotient search are bounded by the constants below.  B is
-range(|B|), stored in a certificate file as distinct integers.
+The one size setting is ``core_cap``; the biregular quotient search is
+bounded by the constants below.  B is range(|B|), stored in a
+certificate file as distinct integers.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import itertools
 import reprlib
 from collections import deque
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .actions import (
     ActionSpec,
@@ -68,12 +68,10 @@ from .quotients import (
     order_bound,
 )
 from .stallings import contains, core_graph
-from .words import Word, invert, multiply, product
+from .words import Word, invert, multiply
 
 DEFAULT_EPSILON = Fraction(0)
 
-# the literal strategy keeps all of Sym(n) for a separator of index n
-LITERAL_DEGREE_MAX = 6
 # a biregular carrier Q x Q stays within 10**5 points
 QUOTIENT_ORDER_MAX = int(100_000**0.5)
 # the small-quotient search tries the generator tuples, up to
@@ -144,7 +142,7 @@ def separation_targets(
     for g in F:
         for x in sigma:
             y = act(spec, invert(g), x)
-            w = product([invert(y), invert(g), x], spec.rank)
+            w = multiply(multiply(invert(y), invert(g)), x)
             if not contains(graph, w):
                 raise AssertionError(
                     f"separation sanity violated: {w.text()} escapes H"
@@ -163,76 +161,64 @@ def orbit_witness(
     images: Sequence[Sequence[int]],
     b_images: Sequence[Sequence[int]],
     labels: Sequence[int],
-    seed: Callable[[int], tuple[int, ...]],
 ) -> OrbitWitness:
     """Orbit witness of an exact homomorphism, propagated along the generators.
 
     ``images[i]`` and ``b_images[i]`` are generator i's permutations of
     the carrier and of the label set B = range(|B|); ``labels`` are the
-    B labels of E's points.  Each generator orbit of the carrier is
-    walked breadth-first from its first point t, whose full row
-    B -> B is ``seed(t)``; the step from s to phi(g)s sets
+    B labels of E's points.  The carrier is a finite group acting on
+    itself by left translation: one generator orbit, whose point 0 is
+    the identity with the identity row B -> B.  It is walked
+    breadth-first from point 0; the step from s to phi(g)s sets
     row(phi(g)s) = row(s) . g_B^-1, which is the equivariance identity
-    itself.  A point keeps only its row's entries at ``labels``; a full
-    row lives only while its point is queued.  Both products are built
-    before the walk.  For |B| at most ``BYTES_DEGREE_MAX`` a queued row
-    is its byte table, and row . g_B^-1 is one ``translate`` of g_B^-1's
-    byte table by it; above, a row is a tuple and the move a gather.
-    Either way E's labels are picked by a gather, which gives a tuple of
-    ints from bytes as from a tuple.
+    itself.  A point the walk leaves unfilled raises AssertionError.  A
+    point keeps only its row's entries at ``labels``; a full row lives
+    only while its point is queued.  Both products are built before the
+    walk.  For |B| at most ``BYTES_DEGREE_MAX`` a queued row is its byte
+    table, and row . g_B^-1 is one ``translate`` of g_B^-1's byte table
+    by it; above, a row is a tuple and the move a gather.  Either way
+    E's labels are picked by a gather, which gives a tuple of ints from
+    bytes as from a tuple.
     """
-    if len(b_images[0]) <= BYTES_DEGREE_MAX:
+    b_size = len(b_images[0])
+    if b_size <= BYTES_DEGREE_MAX:
         encode, moves = byte_table, [byte_table(inverse(p)).translate for p in b_images]
     else:
         encode, moves = tuple, [_gather(inverse(p)) for p in b_images]
     steps = list(zip(images, moves))
     pick = _gather(labels)
     pi: list = [None] * len(images[0])
-    for t in range(len(pi)):
-        if pi[t] is not None:
-            continue
-        row = encode(seed(t))
-        pi[t] = pick(row)
-        queue = deque([(t, row)])
-        take, put = queue.popleft, queue.append
-        while queue:
-            s, row = take()
-            for image, move in steps:
-                u = image[s]
-                if pi[u] is None:
-                    moved = move(row)
-                    pi[u] = pick(moved)
-                    put((u, moved))
-    return OrbitWitness(tuple(range(len(pi))), tuple(range(len(b_images[0]))), tuple(pi))
+    row = encode(identity_perm(b_size))
+    pi[0] = pick(row)
+    queue = deque([(0, row)])
+    take, put = queue.popleft, queue.append
+    while queue:
+        s, row = take()
+        for image, move in steps:
+            u = image[s]
+            if pi[u] is None:
+                moved = move(row)
+                pi[u] = pick(moved)
+                put((u, moved))
+    if None in pi:
+        raise AssertionError(f"carrier point {pi.index(None)} is not in the orbit of point 0")
+    return OrbitWitness(tuple(range(len(pi))), tuple(range(b_size)), tuple(pi))
 
 
 def finite_index_witness(
-    table: CosetTable, labels: Sequence[int], strategy: str = "core", core_cap: int = DEFAULT_CORE_CAP
+    table: CosetTable, labels: Sequence[int], core_cap: int = DEFAULT_CORE_CAP
 ) -> tuple[SoficApproximation, OrbitWitness]:
     """Exact approximation of the left-multiplication action on the cosets
-    of ``table``, with its witness at the cosets ``labels``: B is all n
-    cosets and the row of a carrier point s is s^-1.  Generator i moves
-    the cosets by ``table.inverses[i]``, the core closure's step
-    rank + i, so the core images are the closure's move rows from rank on.
+    of ``table``, with its witness at the cosets ``labels``: A is the
+    group the coset permutations generate, acting on itself by left
+    composition, B is all n cosets and the row of a carrier point s is
+    s^-1.  Generator i moves the cosets by ``table.inverses[i]``, the
+    closure's step rank + i, so the images are its move rows from rank on.
     """
-    n = table.size
-    gen_actions = table.inverses
-    if strategy == "literal":
-        if n > LITERAL_DEGREE_MAX:
-            raise CoreTooLargeError(
-                f"literal strategy keeps all of Sym({n}); capped at degree {LITERAL_DEGREE_MAX}"
-            )
-        carrier = sorted(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(carrier)}
-        images = tuple(tuple(index[compose(g, s)] for s in carrier) for g in gen_actions)
-    elif strategy == "core":
-        group = image_group(table.images, n, core_cap)
-        carrier = group.encoded
-        images = group.moves[table.rank:]
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    approx = SoficApproximation("free", table.rank, len(carrier), images)
-    return approx, orbit_witness(images, gen_actions, labels, lambda t: inverse(carrier[t]))
+    group = image_group(table.images, table.size, core_cap)
+    images = group.moves[table.rank:]
+    approx = SoficApproximation("free", table.rank, len(group), images)
+    return approx, orbit_witness(images, table.inverses, labels)
 
 
 def _separating_quotient(
@@ -382,7 +368,7 @@ def biregular_approximation(
     q -> u^-1 q v.  The left translations are the quotient closure's
     move rows, as in :func:`finite_index_witness`.
     """
-    table, group, strategy = _separating_quotient(rank, pairwise_differences(E))
+    table, group, route = _separating_quotient(rank, pairwise_differences(E))
     elements = group.elements
     m = len(elements)
     index = {p: i for i, p in enumerate(elements)}
@@ -398,10 +384,10 @@ def biregular_approximation(
     images = [tuple(tr[u] * m + v for u in range(m) for v in range(m)) for tr in left]
     images += [tuple(u * m + tr[v] for u in range(m) for v in range(m)) for tr in left]
     approx = SoficApproximation("product", rank, m * m, tuple(images))
-    witness = orbit_witness(images, left + right, e_labels, lambda t: identity_perm(m))
+    witness = orbit_witness(images, left + right, e_labels)
     provenance = {
         "builder": "exact-homomorphism",
-        "strategy": strategy,
+        "strategy": route,
         "requested_epsilon": str(epsilon),
         "quotient": {"degree": table.size, "order": m,
                      "walks": [list(p) for p in table.images]},
@@ -433,7 +419,6 @@ def approximate(
     F: Sequence[GroupElement],
     E: Sequence[Word],
     epsilon: Fraction = DEFAULT_EPSILON,
-    strategy: str = "core",
     core_cap: int = DEFAULT_CORE_CAP,
 ) -> Certificate:
     """Build an exact certificate for (spec, F, E).
@@ -456,7 +441,7 @@ def approximate(
     if isinstance(spec, RestrictedAction):
         with _stage("restrict"):
             inner_F = [apply_images(spec.images, g) for g in F]
-            inner = approximate(spec.inner, inner_F, points, epsilon, strategy, core_cap)
+            inner = approximate(spec.inner, inner_F, points, epsilon, core_cap)
             return restrict_certificate(inner, spec.images, list(F))
 
     if isinstance(spec, BiregularAction):
@@ -478,10 +463,10 @@ def approximate(
         if len(set(labels)) != len(labels):
             raise AssertionError("separating table produced a label collision")
     with _stage("finite_index_witness"):
-        approx, witness = finite_index_witness(table, labels, strategy, core_cap)
+        approx, witness = finite_index_witness(table, labels, core_cap)
     provenance = {
         "builder": "exact-homomorphism",
-        "strategy": strategy,
+        "strategy": "core",
         "requested_epsilon": str(epsilon),
         "separator": {"index": table.size, "images": [list(p) for p in table.images]},
         "point_labels": labels,

@@ -40,38 +40,29 @@ from .words import MAX_RANK, Record, Word, parse_word
 
 
 class JobConfig(Record):
-    """A build job: action, F, E, tolerance, strategy, core cap, output path."""
+    """A build job: action, F, E, tolerance, core cap, output path."""
 
-    __slots__ = ("action", "F", "E", "epsilon", "strategy", "core_cap", "out")
+    __slots__ = ("action", "F", "E", "epsilon", "core_cap", "out")
 
     def __init__(
         self, action: ActionSpec, F: tuple[GroupElement, ...], E: tuple[Word, ...],
-        epsilon: Fraction, strategy: str, core_cap: int, out: str | None,
+        epsilon: Fraction, core_cap: int, out: str | None,
     ) -> None:
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "strategy", strategy)
         object.__setattr__(self, "core_cap", core_cap)
         object.__setattr__(self, "out", out)
 
 
-JOB_FIELDS = ("action", "F", "E", "epsilon", "strategy", "caps", "out")
-
-
-def _refuse_for_biregular(action: ActionSpec, key: str) -> None:
-    """A biregular carrier comes from a quotient search with fixed bounds,
-    so ``strategy`` and ``core_cap`` would be silently ignored."""
-    if isinstance(base_action(action), BiregularAction):
-        raise ValueError(f"{key}: does not apply to a biregular action, "
-                         "whose quotient search has fixed bounds")
+JOB_FIELDS = ("action", "F", "E", "epsilon", "caps", "out")
 
 
 def job_from_dict(data: dict) -> JobConfig:
     """Parse a job config; a key outside ``JOB_FIELDS``, a cap other
-    than ``core_cap``, or ``strategy`` or ``caps`` over a biregular
-    action raises ValueError starting with the key."""
+    than ``core_cap``, or ``caps`` over a biregular action raises
+    ValueError starting with the key."""
     from .quotients import DEFAULT_CORE_CAP
 
     if not isinstance(data, dict):
@@ -86,16 +77,14 @@ def job_from_dict(data: dict) -> JobConfig:
         if not isinstance(data[key], list):
             raise ValueError(f"{key} must be a list, not {reprlib.repr(data[key])}")
     action = action_from_json(data["action"])
-    for key in ("strategy", "caps"):
-        if key in data:
-            _refuse_for_biregular(action, key)
+    if "caps" in data and isinstance(base_action(action), BiregularAction):
+        # the biregular quotient search has fixed bounds, so a cap would be ignored
+        raise ValueError("caps: does not apply to a biregular action, "
+                         "whose quotient search has fixed bounds")
     F = tuple(parse_element(action, item) for item in data["F"])
     rank = point_rank(action)
     E = tuple(parse_word(t, rank) for t in data["E"])
     epsilon = epsilon_from_json(data.get("epsilon", 0))
-    strategy = data.get("strategy", "core")
-    if strategy not in ("core", "literal"):
-        raise ValueError(f"unknown strategy {reprlib.repr(strategy)}")
     caps = data.get("caps", {})
     if not isinstance(caps, dict):
         raise ValueError("caps must be an object")
@@ -108,7 +97,7 @@ def job_from_dict(data: dict) -> JobConfig:
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"out must be a path string, not {reprlib.repr(out)}")
-    return JobConfig(action, F, E, epsilon, strategy, core_cap, out)
+    return JobConfig(action, F, E, epsilon, core_cap, out)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -156,15 +145,12 @@ def cmd_approx(args) -> int:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
         job = job_from_dict(data)
-        if args.strategy:
-            _refuse_for_biregular(job.action, "--strategy")
     except (OSError, json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
-    strategy = args.strategy or job.strategy
     out = args.out or job.out
     try:
-        cert = approximate(job.action, job.F, job.E, job.epsilon, strategy, job.core_cap)
+        cert = approximate(job.action, job.F, job.E, job.epsilon, job.core_cap)
     except StageError as exc:
         print(f"error [{exc.stage}]: {exc.cause}", file=sys.stderr)
         return 2
@@ -305,8 +291,6 @@ def _positive_int(text: str) -> int:
 def _approx_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON job config path")
     p.add_argument("--out", help="certificate output path (overrides config)")
-    p.add_argument("--strategy", choices=["core", "literal"],
-                   help="finite-index strategy (overrides config)")
     p.add_argument("--json", action="store_true", help="JSON summary")
     p.set_defaults(func=cmd_approx)
 

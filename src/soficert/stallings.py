@@ -38,16 +38,6 @@ class StallingsGraph(Record):
     def _steps(self) -> dict[tuple[int, int], int]:
         return _steps_table(self.edges)
 
-    def trace(self, w: Word) -> int | None:
-        """Endpoint of reading ``w`` from the basepoint; None if some edge is missing."""
-        state = 0
-        for l in w.letters:
-            nxt = self._steps.get((state, l))
-            if nxt is None:
-                return None
-            state = nxt
-        return state
-
 
 def _fold(edges: set[tuple[int, int, int]], n: int) -> set[tuple[int, int, int]]:
     """Fold to the unique deterministic quotient by a union-find worklist.
@@ -160,7 +150,13 @@ def contains(graph: StallingsGraph, w: Word) -> bool:
     """Subgroup membership: does ``w`` read a closed path at the basepoint?"""
     if w.rank != graph.rank:
         raise ValueError(f"word rank {w.rank} != graph rank {graph.rank}")
-    return graph.trace(w) == 0
+    steps = graph._steps
+    state = 0
+    for l in w.letters:
+        state = steps.get((state, l))
+        if state is None:
+            return False
+    return state == 0
 
 
 def coset_canonical_word(graph: StallingsGraph, w: Word) -> Word:

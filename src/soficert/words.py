@@ -11,7 +11,7 @@ package's value classes.
 from __future__ import annotations
 
 import reprlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
 MAX_RANK = 26
 
@@ -76,12 +76,6 @@ class Word(Record):
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
-    def __invert__(self) -> "Word":
-        return invert(self)
-
     def __repr__(self) -> str:
         return f"Word({self.text()!r}, rank={self.rank})"
 
@@ -138,11 +132,3 @@ def multiply(u: Word, v: Word) -> Word:
 
 def invert(w: Word) -> Word:
     return Word(tuple(-l for l in reversed(w.letters)), w.rank)
-
-
-def product(words: Sequence[Word], rank: int) -> Word:
-    """Reduced product of a sequence of words (identity when empty)."""
-    out = identity(rank)
-    for w in words:
-        out = multiply(out, w)
-    return out

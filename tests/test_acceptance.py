@@ -16,9 +16,11 @@ import pytest
 
 from soficert.actions import BiregularAction, CosetAction, RestrictedAction
 from soficert.builder import approximate, restrict_certificate, separation_targets
+from soficert.certificate import load_certificate
 from soficert.cli import main
 from soficert.harness import mutation_battery, oracle_agreement, oracle_cases
-from soficert.quotients import coset_of, hall_completion
+from soficert.permutations import compose, inverse
+from soficert.quotients import CosetTable, coset_of, hall_completion, image_group
 from soficert.stallings import contains, core_graph
 from soficert.words import Word, parse_word
 
@@ -47,13 +49,12 @@ def run_cli(argv):
     return rc, buf.getvalue()
 
 
-def write_job(directory, index, rank, sub, F, E, strategy="core"):
-    path = directory / f"job{index}-{strategy}.json"
+def write_job(directory, index, rank, sub, F, E):
+    path = directory / f"job{index}.json"
     path.write_text(json.dumps({
         "action": {"kind": "coset", "rank": rank, "subgroup": sub},
         "F": F,
         "E": E,
-        "strategy": strategy,
     }))
     return str(path)
 
@@ -97,25 +98,21 @@ def test_criterion_1_exactness_suite(built):
     print(f"criterion 1: PASS -- 12/12 certificates exact in {built['elapsed']:.2f}s")
 
 
-def test_criterion_2_literal_strategy_fidelity(built):
-    small = [r for r in built["results"] if r["summary"]["separator_index"] <= 5]
-    assert len(small) >= 8  # the test must not be vacuous
-    directory = built["dir"]
-    for i, r in enumerate(small):
-        rank, sub, F, E = r["fixture"]
-        cfg = write_job(directory, i, rank, sub, F, E, strategy="literal")
-        out = str(directory / f"literal{i}.json")
-        rc_build, text = run_cli(["approx", "--config", cfg, "--out", out, "--json"])
-        assert rc_build == 0, r["fixture"]
-        summary = json.loads(text)
-        n = r["summary"]["separator_index"]
-        assert summary["carrier_size"] == {1: 1, 2: 2, 3: 6, 4: 24, 5: 120}[n]
-        rc_check, text = run_cli(["verify", out, "--json"])
-        report = json.loads(text)
-        assert rc_check == 0 and report["verdict"] == "accept"
-        assert report["verdict"] == r["report"]["verdict"]  # strategies agree
-        assert report["max_defect"] == "0" and report["s_ratio"] == "1"
-    print(f"criterion 2: PASS -- literal strategy exact on {len(small)} tables")
+def test_criterion_2_core_closed_form(built):
+    # each certificate from criterion 1, read against its separator's
+    # table and the image group it generates, not against the witness walk
+    for r in built["results"]:
+        cert = load_certificate(r["cert_path"])
+        separator = cert.provenance["separator"]
+        table = CosetTable(cert.approx.rank, separator["index"],
+                           tuple(map(tuple, separator["images"])))
+        elements = image_group(table.images, table.size).elements
+        assert cert.approx.size == len(elements), r["fixture"]
+        for image, g in zip(cert.approx.images, table.inverses):
+            assert [elements[t] for t in image] == [compose(g, s) for s in elements]
+        labels = cert.provenance["point_labels"]
+        assert list(cert.witness.pi) == [tuple(inverse(s)[c] for c in labels) for s in elements]
+    print(f"criterion 2: PASS -- {len(built['results'])} certificates in closed form")
 
 
 def random_reduced_word(rng, rank, max_len):

@@ -13,7 +13,6 @@ from soficert.actions import (
     canonical_point,
 )
 from soficert.builder import (
-    LITERAL_DEGREE_MAX,
     QUOTIENT_SEARCH_MAX,
     SeparatorInvalidError,
     StageError,
@@ -109,66 +108,28 @@ def test_identity_lift_through_own_table():
 
 
 # ---------------------------------------------------------------------------
-# finite-index strategies
+# the finite-index construction
 
 
-def test_literal_matches_core_rows():
+def test_core_rows_are_closed_form():
+    # the carrier is the image group's element list: phi(g_i) sends s to
+    # table.inverses[i] . s, and the row of s is s^-1 at every coset
     table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
     every_coset = list(range(table.size))
-    approx_lit, wit_lit = finite_index_witness(table, every_coset, "literal")
-    approx_core, wit_core = finite_index_witness(table, every_coset, "core")
-    carrier_lit = sorted(itertools.permutations(range(table.size)))
-    carrier_core = image_group(table.images, table.size, 10**6).elements
-    index = {p: i for i, p in enumerate(carrier_lit)}
-    for j, s in enumerate(carrier_core):
-        # same witness rows and the same phi targets at embedded points
-        assert wit_core.pi[j] == wit_lit.pi[index[s]]
-        for gi in range(2):
-            assert carrier_core[approx_core.images[gi][j]] == carrier_lit[approx_lit.images[gi][index[s]]]
+    approx, wit = finite_index_witness(table, every_coset)
+    elements = image_group(table.images, table.size).elements
+    assert approx.size == len(elements) == len(wit.pi)
+    assert wit.s_points == tuple(range(len(elements))) and wit.b_labels == tuple(every_coset)
+    for image, g in zip(approx.images, table.inverses):
+        assert [elements[t] for t in image] == [compose(g, s) for s in elements]
+    assert list(wit.pi) == [inverse(s) for s in elements]
 
 
-def test_literal_pi_is_inverse_permutation():
-    table = hall_completion(core_graph([w2("a")], 2), [w2("b")])
-    approx, wit = finite_index_witness(table, [0, 1], "literal")
-    carrier = sorted(itertools.permutations(range(2)))
-    for j, s in enumerate(carrier):
-        assert wit.pi[j] == inverse(s)
-
-
-def test_literal_degree_cap():
-    table = hall_completion(core_graph([], 2), [w2(t) for t in ("a", "b", "ab", "ba", "aab", "abb")])
-    assert table.size > LITERAL_DEGREE_MAX == 6
-    with pytest.raises(CoreTooLargeError, match="capped at degree 6"):
-        finite_index_witness(table, [0], "literal")
-
-
-def test_orbit_witness_seeds_each_orbit_once():
-    # H = <a>, E = {1, b}: the separator has index 3 and its coset
-    # permutations generate a group of order 3, so the literal carrier
-    # Sym(3) falls into two generator orbits of 3 points
-    E = [w2(""), w2("b")]
-    avoid, _ = separation_targets(COSET_A, F_AB, E)
-    table = hall_completion(COSET_A.graph, avoid)
-    labels = [left_coset_of(table, x) for x in E]
-    carrier = sorted(itertools.permutations(range(3)))
-    approx, built = finite_index_witness(table, labels, "literal")
-    seeded = []
-
-    def seed(t):
-        seeded.append(t)
-        return inverse(carrier[t])
-
-    gens = [coset_action(table, g) for g in F_AB]
-    wit = orbit_witness(approx.images, gens, labels, seed)
-    orbit = {0}
-    for _ in range(3):
-        orbit |= {img[s] for img in approx.images for s in orbit}
-    assert len(orbit) == 3
-    assert seeded[0] == 0 and len(seeded) == 2 and seeded[1] not in orbit
-    assert wit == built
-    assert wit.s_points == tuple(range(6)) and wit.b_labels == (0, 1, 2)
-    for s, row in zip(carrier, wit.pi):
-        assert row == tuple(inverse(s)[c] for c in labels)
+def test_orbit_witness_refuses_a_non_transitive_carrier():
+    # the carrier falls into the orbits {0, 1} and {2, 3}, so the walk
+    # from point 0 never fills point 2
+    with pytest.raises(AssertionError, match="carrier point 2 is not in the orbit of point 0"):
+        orbit_witness([(1, 0, 3, 2)], [(1, 0)], [0, 1])
 
 
 def test_lift_rejects_non_separating_table(monkeypatch):

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,7 +35,6 @@ def write_job(tmp_path, data, name="job.json"):
 
 def test_job_from_dict_defaults():
     job = job_from_dict(COSET_JOB)
-    assert job.strategy == "core"
     assert job.epsilon == 0
     assert job.core_cap == 10**6
     assert [x.text() for x in job.E] == ["1", "b"]
@@ -80,14 +80,6 @@ def test_approx_is_byte_deterministic(tmp_path):
     assert main(["approx", "--config", cfg, "--out", out1]) == 0
     assert main(["approx", "--config", cfg, "--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
-
-
-def test_approx_strategy_flag_overrides_config(tmp_path, capsys):
-    cfg = write_job(tmp_path, COSET_JOB)
-    assert main(["approx", "--config", cfg, "--strategy", "literal", "--json"]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["strategy"] == "literal"
-    assert summary["carrier_size"] == 6  # all of Sym(3)
 
 
 def test_approx_config_errors_exit_2(tmp_path, capsys):
@@ -139,9 +131,10 @@ def test_approx_rejects_epsilon_not_integer_or_ratio_and_bool_seed(tmp_path, cap
     ({"seed": 0}, "seed"),
     ({"caps": {"quotient_samples": 10}}, "quotient_samples"),
     ({"caps": {"core_cap": 10, "literal_degree_max": 2}}, "literal_degree_max"),
+    ({"strategy": "core"}, "strategy"),
 ])
 def test_approx_refuses_unknown_config_keys(tmp_path, capsys, patch, key):
-    # a job config has action, F, E, epsilon, strategy, caps.core_cap and out
+    # a job config has action, F, E, epsilon, caps.core_cap and out
     assert main(["approx", "--config", write_job(tmp_path, {**COSET_JOB, **patch})]) == 2
     assert capsys.readouterr().err.startswith(f"error [config]: {key}: unknown ")
 
@@ -177,19 +170,13 @@ CONJUGATION_JOB = {"action": {"kind": "restricted", "inner": {"kind": "biregular
 
 
 @pytest.mark.parametrize("job", [BIREGULAR_JOB, CONJUGATION_JOB], ids=["biregular", "restricted"])
-@pytest.mark.parametrize("setting, flags, key", [
-    ({"strategy": "literal"}, [], "strategy"),
-    ({"strategy": "core"}, [], "strategy"),
-    ({"caps": {"core_cap": 1}}, [], "caps"),
-    ({}, ["--strategy", "literal"], "--strategy"),
-])
-def test_approx_refuses_settings_a_biregular_build_ignores(tmp_path, capsys, job, setting, flags, key):
+def test_approx_refuses_caps_a_biregular_build_ignores(tmp_path, capsys, job):
     # the biregular carrier comes from a quotient search with fixed
-    # bounds, so a strategy or a cap would be silently ignored
+    # bounds, so a cap would be silently ignored
     out = tmp_path / "cert.json"
-    cfg = write_job(tmp_path, {**job, **setting})
-    assert main(["approx", "--config", cfg, "--out", str(out), *flags]) == 2
-    assert capsys.readouterr().err.startswith(f"error [config]: {key}: does not apply")
+    cfg = write_job(tmp_path, {**job, "caps": {"core_cap": 1}})
+    assert main(["approx", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error [config]: caps: does not apply")
     assert not out.exists()
 
 
@@ -732,75 +719,61 @@ def test_script_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
-# SHA-256 pins of the certificates of the acceptance fixtures under the
-# core and literal strategies (F is every generator of the rank), of a
-# biregular job and of conj-demo, each a (content, bytes) pair.  The
-# content pin hashes the certificate re-rendered as
-# json.dumps(..., indent=2, sort_keys=True) + "\n", the layout files had
-# before the compact one, so it fails on any change to what a
-# certificate says; the bytes pin hashes the file as written, so it also
-# fails on any change to the layout.
+def test_readme_job_config_builds(tmp_path, monkeypatch, capsys):
+    # the job config the README writes with cat > job.json <<'EOF', built
+    # and verified with the commands the README runs on it
+    readme = (ROOT / "README.md").read_text()
+    [config] = re.findall(r"^cat > job\.json <<'EOF'\n(.*?)^EOF$", readme, re.MULTILINE | re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    Path("job.json").write_text(config)
+    assert main(["approx", "--config", "job.json", "--out", "cert.json", "--json"]) == 0
+    assert main(["verify", "cert.json", "--json"]) == 0
+
+
+# SHA-256 pins of the certificates of the acceptance fixtures (F is
+# every generator of the rank), of a biregular job and of conj-demo,
+# each a (content, bytes) pair.  The content pin hashes the certificate
+# re-rendered as json.dumps(..., indent=2, sort_keys=True) + "\n", the
+# layout files had before the compact one, so it fails on any change to
+# what a certificate says; the bytes pin hashes the file as written, so
+# it also fails on any change to the layout.
 PINNED_FIXTURES = [
     (2, [], ["1", "a"],
      ("32b7de7583d80f028c4db785f714441a02e9aa96b430d59c6af64d3e117d21b4",
-      "20af13db0eb40b89814b50d2ee6cf4a5ac8b78bf94c2f0f1bc825c4db1d81d0d"),
-     ("b5b202d099a8ca3906c5a4776108d32aec6fe4d4f7b98873b680e7cd6f8d4181",
-      "474e6f72e3bb28c45e712b4c3c18cdf432452d593eec472ca38d0bf58a4d7eb4")),
+      "20af13db0eb40b89814b50d2ee6cf4a5ac8b78bf94c2f0f1bc825c4db1d81d0d")),
     (2, ["a"], ["1", "b"],
      ("797fc6a7cb292bd1b6d1e48ee542dbdc99551de64c4899662a77da43243f2242",
-      "5f0ed9999a3938aaa609569f24bde2ab1e52fa2b72b71c3a6e58c09ef7003473"),
-     ("108ee48fb89b84d6da696a37dff1bb62c7f6429a19935390532e6a616fb4a97a",
-      "a26102025e039e69a4d3265f748a06e181f071d3cf97975c27f7dcd87618ba53")),
+      "5f0ed9999a3938aaa609569f24bde2ab1e52fa2b72b71c3a6e58c09ef7003473")),
     (2, ["aa", "b"], ["1", "a"],
      ("7a199b2312bde995c6c6edfdbdcd4b085957dcdc2628a974e508b975fd6b9555",
-      "da7d773b7a82d4b6b8aff7111e1e9c04aecdbed9fde019ef8eea2b4dd993813a"),
-     ("381656c55ab968a6eee642a75bf547ae606948a2314bc4c17e1b16927f7c27ec",
-      "56f85fef483111dc48ede3003ef62ea92f6eb8e335657bd2f91e03b1ed0d7907")),
+      "da7d773b7a82d4b6b8aff7111e1e9c04aecdbed9fde019ef8eea2b4dd993813a")),
     (2, ["ab", "ba"], ["1", "a"],
      ("1f75a2aa2fb9d463b66ae5042ee7adb8c38ebcc117c295a78f496470623ced63",
-      "54ee4af9c4ff19929eb0e481c57171413875efaa92b7676ccff0f939f81cd301"),
-     ("a9195d21c92607f36328c56cf84043ce4a66864b66aba13a5f26cde4a582ac68",
-      "17d44ccf9006c099948397aa6069cdf5949398bd4e138a6c519ef074f32f8cda")),
+      "54ee4af9c4ff19929eb0e481c57171413875efaa92b7676ccff0f939f81cd301")),
     (2, ["abA"], ["1", "a"],
      ("901863c9ba484cbff0481399d89e0004c0b5a9ea009a0f239b370a6851e6f3cc",
-      "85f9c21243b705543a98312922ed2c08e31126851e0d53129e2066ecc7524486"),
-     ("e8b2f181a086cd1a39c36a752217d9fd0394e594a6fdd4463d2939c56a9463e1",
-      "7f151890adce0cf30fd7245a1c40e23b294c4d3d3a07306f79058074654df62c")),
+      "85f9c21243b705543a98312922ed2c08e31126851e0d53129e2066ecc7524486")),
     (2, ["aa", "ab"], ["1", "a"],
      ("a6055074602f56664843dea5a0a7c0861d450999b8dfb409adfa71b6ac4a7804",
-      "eec7d350b9bc2841f07d8fa6d73b35eaadae56247f8c70e5f2f95a6f7a4a9ea5"),
-     ("40ea57fdfc7b9c03f9280373dbfa39adf02b5ee109ae092e9a154f1cc9194ea2",
-      "64df9bedbbfda2ac2625680d53470983c1661061d36b5cfbb8c5a7512958b1c9")),
+      "eec7d350b9bc2841f07d8fa6d73b35eaadae56247f8c70e5f2f95a6f7a4a9ea5")),
     (2, ["a", "bb"], ["1", "b"],
      ("f7e02deee9bfb384b457136ae8c664ca41346b5f1f3896de91704f42341e8079",
-      "6d74f348b1f53839bb98b49bfff3af27081f2e8e030520285a9d426ce32a25f1"),
-     ("8fad9d6f88cb32e3c54005d28064b3ededec94dd3a88bc067e131813065cabd9",
-      "7a0be3478120722522c7985520ba65e3fac71aeaae3560a95c73af8219e461c0")),
+      "6d74f348b1f53839bb98b49bfff3af27081f2e8e030520285a9d426ce32a25f1")),
     (2, ["aba"], ["1", "a", "ab"],
      ("b6863408715e9291cc138cd52975a8f67d775e74c5971d6c217519f0cbcd975f",
-      "0007512ba6c16ebfe981fe47ca3bf04562fa89a4d170c16aff0b4ca73fc93ac7"),
-     ("d19640c5319b59c1a644483603f64a4c78dbcc45fa5b21a6a6a23fd7f824089f",
-      "8e5386422bbe6e808a859d330fd3ff8a5b52326d2481eceb73aef0df653b0fb7")),
+      "0007512ba6c16ebfe981fe47ca3bf04562fa89a4d170c16aff0b4ca73fc93ac7")),
     (3, [], ["1", "a"],
      ("32159687ae8b8827403af80e26a24153d8eee9158be6946f1504ed4fbd3abf9f",
-      "b93351badb82002f8fa09c359958d4b336979f3d1f8ec67a51339dbd29916f66"),
-     ("0143483498c9c012d52ba008828f6118337666e1c5484af7181b9b2b33d06483",
-      "41b009805cd2d3199b8b8adb5b7b6d5350da8e839655e34bbf4a6e100df4b030")),
+      "b93351badb82002f8fa09c359958d4b336979f3d1f8ec67a51339dbd29916f66")),
     (3, ["a", "b"], ["1", "c"],
      ("a6b80758d313dcf06edb008a4aaddbe063b4dc0b56d865dfec8d9f159f72e4e1",
-      "e78ad8a2990980198c931822fa51661c53edbb456040883ec5c60c06a259a658"),
-     ("7065c309c0c557a4fbff936a6d3a16a5237d8db21ae732870b203a566c371658",
-      "8ef72ef702a5662c9e0d09ae14d9aaee9f469787c8db436786afc36bf7e64cf3")),
+      "e78ad8a2990980198c931822fa51661c53edbb456040883ec5c60c06a259a658")),
     (3, ["ab", "c"], ["1", "a"],
      ("e9322eb06e8274f1f080f2af8291a6bd67c0979c563a2d1513b2e2c5fee459b9",
-      "060fb6353cfdd614c3741130467e2c0f89cd8fd83a1d16bb1110189c3de436a2"),
-     ("74a4a697b558e6ca9ab71de0e89b4fc4e08a84d698e95353d331df8e50c194d9",
-      "8f00592581197c95ef1cba4dc0bff33e4400d976e376b391bf659b8de2b60032")),
+      "060fb6353cfdd614c3741130467e2c0f89cd8fd83a1d16bb1110189c3de436a2")),
     (3, ["aa", "b", "c"], ["1", "a"],
      ("69fb2af0329c685e9f32910b8db90bf985233cdc91e47e89042e2ecff870b9b2",
-      "c3be7e456db1b56a3b160850c3f5cfec8af084f755ee186854ebb811e097f6b2"),
-     ("985416aa90dc8d4e042ddd523942a599ba2cc9d66e2d75a9aff6359b4dff37a1",
-      "d32b9c6acba066c883e824f2328edeeecf3da7f43e064eb721079b1faaae4a29")),
+      "c3be7e456db1b56a3b160850c3f5cfec8af084f755ee186854ebb811e097f6b2")),
 ]
 PINNED_BIREGULAR = ("afb9966c778741d22c75ef728b58086a384542f98f443c152b4d2234ef48f48b",
                     "2ee9da1eb5d4b63ce9a5a39ca11b4a2eb16ea62a75f4b2d0f5bf965eaae3fec6")
@@ -883,11 +856,10 @@ def test_indented_layout_gives_the_same_report(tmp_path, capsys):
 
 
 def test_certificate_bytes_are_pinned(tmp_path):
-    for rank, sub, E, core, literal in PINNED_FIXTURES:
+    for rank, sub, E, pinned in PINNED_FIXTURES:
         job = {"action": {"kind": "coset", "rank": rank, "subgroup": sub},
                "F": [chr(97 + i) for i in range(rank)], "E": E}
-        assert built_shas(tmp_path, {**job, "strategy": "core"}) == core, (sub, E)
-        assert built_shas(tmp_path, {**job, "strategy": "literal"}) == literal, (sub, E)
+        assert built_shas(tmp_path, job) == pinned, (sub, E)
     biregular = {"action": {"kind": "biregular", "rank": 2},
                  "F": [["a", "1"], ["b", "1"], ["1", "a"], ["1", "b"]],
                  "E": ["1", "a", "b", "ab", "ba"]}

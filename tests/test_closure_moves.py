@@ -1,8 +1,10 @@
 """The closure that records its moves and the witness walk on prebuilt
 gathers, against the code they replaced.
 
-The previous ``image_group`` and ``orbit_witness`` are kept below
-verbatim as references, with the ``compose`` they called.  The new
+The previous ``image_group`` and ``orbit_witness`` are kept below as
+references, with the ``compose`` they called; the witness reference
+walks one orbit from the identity row at point 0, as the routine does
+since every carrier is one orbit.  The new
 closure must list the same elements in the same order, and each move
 row must be the step composed after every element; the new walk must
 fill the same rows, at one label and on a one-label B too, where
@@ -38,7 +40,7 @@ from soficert.quotients import (
     order_bound,
 )
 from soficert.verifier import verify_certificate
-from soficert.words import parse_word
+from soficert.words import invert, multiply, parse_word
 
 # ---------------------------------------------------------------------------
 # the references
@@ -68,23 +70,20 @@ def _reference_image_group(generators, degree, cap=DEFAULT_CORE_CAP):
     return elements
 
 
-def _reference_orbit_witness(images, b_images, labels, seed):
+def _reference_orbit_witness(images, b_images, labels):
     b_inverses = [inverse(p) for p in b_images]
     pi = [None] * len(images[0])
-    for t in range(len(pi)):
-        if pi[t] is not None:
-            continue
-        row = seed(t)
-        pi[t] = compose(row, labels)
-        queue = deque([(t, row)])
-        while queue:
-            s, row = queue.popleft()
-            for image, b_inverse in zip(images, b_inverses):
-                u = image[s]
-                if pi[u] is None:
-                    moved = compose(row, b_inverse)
-                    pi[u] = compose(moved, labels)
-                    queue.append((u, moved))
+    row = identity_perm(len(b_images[0]))
+    pi[0] = compose(row, labels)
+    queue = deque([(0, row)])
+    while queue:
+        s, row = queue.popleft()
+        for image, b_inverse in zip(images, b_inverses):
+            u = image[s]
+            if pi[u] is None:
+                moved = compose(row, b_inverse)
+                pi[u] = compose(moved, labels)
+                queue.append((u, moved))
     return OrbitWitness(tuple(range(len(pi))), tuple(range(len(b_images[0]))), tuple(pi))
 
 
@@ -135,7 +134,7 @@ def test_core_build_reads_images_off_the_closure(monkeypatch):
 
     for module in (permutations, quotients, builder):
         monkeypatch.setattr(module, "compose", counted)
-    approx, witness = finite_index_witness(table, labels, "core", DEFAULT_CORE_CAP)
+    approx, witness = finite_index_witness(table, labels, DEFAULT_CORE_CAP)
     assert approx.size == len(witness.pi) == 40320
     assert 0 < calls < 10**4
 
@@ -156,9 +155,10 @@ def test_verify_composes_once_per_letter_after_the_first(monkeypatch):
     def folds(words):
         return sum(max(len(g) - 1, 0) for g in words)
 
-    cancelling = [g * h for g in F for h in F if (g * h).letters != g.letters + h.letters]
+    cancelling = [multiply(g, h) for g in F for h in F
+                  if multiply(g, h).letters != g.letters + h.letters]
     e_points = {x.letters for x in cert.E}
-    gathers = sum(act(spec, ~g, x).letters in e_points for g in F for x in cert.E)
+    gathers = sum(act(spec, invert(g), x).letters in e_points for g in F for x in cert.E)
     budget = folds(F) + folds(cancelling) + len(cancelling) + gathers
     calls = 0
 
@@ -182,10 +182,12 @@ def test_verify_composes_once_per_letter_after_the_first(monkeypatch):
                          [(1, 1), (3, 1), (4, 2), (5, 5), (256, 3), (256, 256), (257, 1), (257, 4)])
 @given(data=st.data())
 def test_orbit_witness_matches_per_step_compose(b_size, e_size, data):
-    # any rows will do: both walks visit the points in the same order and
-    # apply the same products, consistent or not.  Up to 256 labels a row
-    # is bytes and above it a tuple; the wide rows are shuffled from a
-    # drawn seed, which takes a tenth of the time of drawing every swap
+    # any B permutations will do: both walks start from the identity row
+    # at point 0, visit the points in the same order and apply the same
+    # products, consistent or not.  The first carrier generator is an
+    # n-cycle, so the carrier is one orbit.  Up to 256 labels a row is
+    # bytes and above it a tuple; the wide permutations are shuffled from
+    # a drawn seed, which takes a tenth of the time of drawing every swap
     n = data.draw(st.integers(1, 8))
     rank = data.draw(st.integers(1, 3))
     if b_size > 8:
@@ -193,11 +195,13 @@ def test_orbit_witness_matches_per_step_compose(b_size, e_size, data):
         b_perm = lambda: tuple(rng.sample(range(b_size), b_size))
     else:
         b_perm = lambda: tuple(data.draw(st.permutations(range(b_size))))
-    images = [tuple(data.draw(st.permutations(range(n)))) for _ in range(rank)]
+    order = data.draw(st.permutations(range(n)))
+    cycle = dict(zip(order, order[1:] + order[:1]))
+    images = [tuple(cycle[x] for x in range(n))]
+    images += [tuple(data.draw(st.permutations(range(n)))) for _ in range(rank - 1)]
     b_images = [b_perm() for _ in range(rank)]
     labels = b_perm()[:e_size]
-    rows = [b_perm() for _ in range(n)]
-    args = (images, b_images, labels, rows.__getitem__)
+    args = (images, b_images, labels)
     built = orbit_witness(*args)
     assert built == _reference_orbit_witness(*args)
     assert all(type(row) is tuple and len(row) == e_size for row in built.pi)

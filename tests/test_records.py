@@ -83,11 +83,11 @@ RECORDS = {
         "('s=0',), triples_checked=4))",
         ("epsilon", "carrier_size", "permutation_failures", "unital", "max_defect", "orbit")),
     "JobConfig": (
-        lambda: JobConfig(coset(), (A, B), (Word((), 2), B), Fraction(1, 3), "core", 10, None),
+        lambda: JobConfig(coset(), (A, B), (Word((), 2), B), Fraction(1, 3), 10, None),
         "JobConfig(action=CosetAction(rank=2, subgroup=(Word('aa', rank=2),)), "
         "F=(Word('a', rank=2), Word('b', rank=2)), E=(Word('1', rank=2), Word('b', rank=2)), "
-        "epsilon=Fraction(1, 3), strategy='core', core_cap=10, out=None)",
-        ("action", "F", "E", "epsilon", "strategy", "core_cap", "out")),
+        "epsilon=Fraction(1, 3), core_cap=10, out=None)",
+        ("action", "F", "E", "epsilon", "core_cap", "out")),
 }
 
 

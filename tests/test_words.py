@@ -9,7 +9,6 @@ from soficert.words import (
     invert,
     multiply,
     parse_word,
-    product,
 )
 
 
@@ -59,7 +58,8 @@ def test_multiply_invert_frozen():
     assert invert(u).text() == "BA"
     assert multiply(u, invert(u)).is_identity
     assert multiply(parse_word("ab", 2), parse_word("Ba", 2)).text() == "aa"
-    assert product([parse_word(t, 2) for t in ("a", "b", "BA")], 2).is_identity
+    a, b, BA = (parse_word(t, 2) for t in ("a", "b", "BA"))
+    assert multiply(multiply(a, b), BA).is_identity
 
 
 def test_rank_mismatch():
