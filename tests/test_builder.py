@@ -125,6 +125,46 @@ def test_core_rows_are_closed_form():
     assert list(wit.pi) == [inverse(s) for s in elements]
 
 
+def literal_rows(table):
+    """The literal construction on all of Sym(G/K), in closed form: the
+    carrier is every permutation of the cosets in sorted order, phi(g_i)
+    sends s to table.inverses[i] . s and the row of s is s^-1."""
+    carrier = sorted(itertools.permutations(range(table.size)))
+    index = {s: j for j, s in enumerate(carrier)}
+    images = [tuple(index[compose(g, s)] for s in carrier) for g in table.inverses]
+    return carrier, images, [inverse(s) for s in carrier]
+
+
+def test_literal_matches_core_rows():
+    # the core carrier is a subgroup of Sym(G/K), so each of its points
+    # must carry the literal row and phi target of the same permutation
+    table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
+    approx, wit = finite_index_witness(table, list(range(table.size)))
+    carrier_lit, images_lit, pi_lit = literal_rows(table)
+    carrier_core = image_group(table.images, table.size).elements
+    assert len(carrier_core) < len(carrier_lit)
+    index = {p: i for i, p in enumerate(carrier_lit)}
+    for j, s in enumerate(carrier_core):
+        assert wit.pi[j] == pi_lit[index[s]]
+        for gi in range(2):
+            assert carrier_core[approx.images[gi][j]] == carrier_lit[images_lit[gi][index[s]]]
+
+
+def test_literal_pi_is_inverse_permutation():
+    # the coset permutations generate all of Sym(2), so the literal carrier
+    # is one orbit and the walk from its identity gives pi_s = s^-1, the
+    # rows of the core construction
+    table = hall_completion(core_graph([w2("a")], 2), [w2("b")])
+    carrier, images, _ = literal_rows(table)
+    wit = orbit_witness(images, table.inverses, [0, 1])
+    for j, s in enumerate(carrier):
+        assert wit.pi[j] == inverse(s)
+    assert finite_index_witness(table, [0, 1]) == (
+        SoficApproximation("free", 2, len(carrier), tuple(images)),
+        wit,
+    )
+
+
 def test_orbit_witness_refuses_a_non_transitive_carrier():
     # the carrier falls into the orbits {0, 1} and {2, 3}, so the walk
     # from point 0 never fills point 2
