@@ -37,8 +37,7 @@ class CosetAction(Record):
         for w in subgroup:
             if w.rank != rank:
                 raise ValueError("subgroup generator rank mismatch")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "subgroup", subgroup)
+        Record.__init__(self, rank, subgroup)
 
     @property
     def graph(self) -> StallingsGraph:
@@ -50,7 +49,7 @@ class BiregularAction(Record):
 
     def __init__(self, rank: int) -> None:
         _check_rank(rank)
-        object.__setattr__(self, "rank", rank)
+        Record.__init__(self, rank)
 
 
 GroupElement = Word | tuple[Word, Word]
@@ -64,8 +63,7 @@ class RestrictedAction(Record):
             raise ValueError(f"a restricted action needs 1 to {MAX_RANK} images, got {len(images)}")
         for g in images:
             check_element(inner, g)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "images", images)
+        Record.__init__(self, inner, images)
 
 
 ActionSpec = CosetAction | BiregularAction | RestrictedAction

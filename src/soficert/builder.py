@@ -67,7 +67,7 @@ from .quotients import (
     left_coset_of,
     order_bound,
 )
-from .stallings import contains, core_graph
+from .stallings import StallingsGraph, core_graph
 from .words import Word, invert, multiply
 
 DEFAULT_EPSILON = Fraction(0)
@@ -112,6 +112,19 @@ def pairwise_differences(points: Sequence[Word]) -> list[Word]:
                     seen.add(w.letters)
                     out.append(w)
     return out
+
+
+def contains(graph: StallingsGraph, w: Word) -> bool:
+    """Subgroup membership: does ``w`` read a closed path at the basepoint?"""
+    if w.rank != graph.rank:
+        raise ValueError(f"word rank {w.rank} != graph rank {graph.rank}")
+    steps = graph._steps
+    state = 0
+    for l in w.letters:
+        state = steps.get((state, l))
+        if state is None:
+            return False
+    return state == 0
 
 
 def separation_targets(

@@ -16,14 +16,13 @@ import re
 import reprlib
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
 from .actions import (
-    ActionSpec, BiregularAction, GroupElement, acting_rank, action_from_json, action_to_json,
+    BiregularAction, GroupElement, acting_rank, action_from_json, action_to_json,
     canonical_point, element_text, parse_element, point_rank,
 )
 from .permutations import compose, identity_perm, inverse
-from .words import Record, Word, parse_word
+from .words import Record, parse_word
 
 
 class SoficApproximation(Record):
@@ -39,10 +38,7 @@ class SoficApproximation(Record):
         expected = rank if group_kind == "free" else 2 * rank
         if len(images) != expected:
             raise ValueError(f"expected {expected} generator images, got {len(images)}")
-        object.__setattr__(self, "group_kind", group_kind)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "images", images)
+        Record.__init__(self, group_kind, rank, size, images)
 
     @cached_property
     def inverse_images(self) -> list[tuple[int, ...] | None]:
@@ -90,28 +86,9 @@ class OrbitWitness(Record):
 
     __slots__ = ("s_points", "b_labels", "pi")
 
-    def __init__(
-        self, s_points: tuple[int, ...], b_labels: tuple[int, ...], pi: tuple[tuple[int, ...], ...]
-    ) -> None:
-        object.__setattr__(self, "s_points", s_points)
-        object.__setattr__(self, "b_labels", b_labels)
-        object.__setattr__(self, "pi", pi)
-
 
 class Certificate(Record):
     __slots__ = ("action", "F", "E", "epsilon", "approx", "witness", "provenance")
-
-    def __init__(
-        self, action: ActionSpec, F: tuple[GroupElement, ...], E: tuple[Word, ...],
-        epsilon: Fraction, approx: SoficApproximation, witness: OrbitWitness, provenance: Mapping,
-    ) -> None:
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "approx", approx)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "provenance", provenance)
 
 
 # ---------------------------------------------------------------------------

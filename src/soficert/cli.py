@@ -20,13 +20,10 @@ import json
 import os
 import reprlib
 import sys
-from fractions import Fraction
 
 from .actions import (
-    ActionSpec,
     BiregularAction,
     CosetAction,
-    GroupElement,
     RestrictedAction,
     action_from_json,
     base_action,
@@ -43,17 +40,6 @@ class JobConfig(Record):
     """A build job: action, F, E, tolerance, core cap, output path."""
 
     __slots__ = ("action", "F", "E", "epsilon", "core_cap", "out")
-
-    def __init__(
-        self, action: ActionSpec, F: tuple[GroupElement, ...], E: tuple[Word, ...],
-        epsilon: Fraction, core_cap: int, out: str | None,
-    ) -> None:
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "core_cap", core_cap)
-        object.__setattr__(self, "out", out)
 
 
 JOB_FIELDS = ("action", "F", "E", "epsilon", "caps", "out")

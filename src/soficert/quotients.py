@@ -170,9 +170,7 @@ class CosetTable(Record):
         for img in images:
             if not is_permutation(img, size):
                 raise ValueError(f"image array {img} is not a permutation of {size} points")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "images", images)
+        Record.__init__(self, rank, size, images)
 
     @cached_property
     def inverses(self) -> tuple[tuple[int, ...], ...]:
@@ -231,7 +229,7 @@ def hall_completion(graph: StallingsGraph, avoid: Sequence[Word]) -> CosetTable:
 # image groups
 
 
-class ImageGroup:
+class ImageGroup(Record):
     """A permutation group listed by its closure, with the closure's moves.
 
     The steps are the generators, then their inverses; ``moves[k][i]``
@@ -242,11 +240,7 @@ class ImageGroup:
     decodes them to tuples on first read.  ``len`` is the group order.
     """
 
-    def __init__(
-        self, encoded: tuple[Sequence[int], ...], moves: tuple[tuple[int, ...], ...]
-    ) -> None:
-        self.encoded = encoded
-        self.moves = moves
+    __slots__ = ("encoded", "moves", "__dict__")
 
     @cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:

@@ -27,13 +27,6 @@ class StallingsGraph(Record):
 
     __slots__ = ("rank", "vertex_count", "edges", "__dict__")
 
-    def __init__(
-        self, rank: int, vertex_count: int, edges: tuple[tuple[int, int, int], ...]
-    ) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", edges)
-
     @cached_property
     def _steps(self) -> dict[tuple[int, int], int]:
         return _steps_table(self.edges)
@@ -144,19 +137,6 @@ def core_graph(generators: Sequence[Word], rank: int) -> StallingsGraph:
         closing.add((end, l, 0) if l > 0 else (0, -l, end))
     tree = {(u, l, v) for (u, l), v in steps.items() if l > 0}
     return _canonical(rank, _fold(tree | closing, fresh))
-
-
-def contains(graph: StallingsGraph, w: Word) -> bool:
-    """Subgroup membership: does ``w`` read a closed path at the basepoint?"""
-    if w.rank != graph.rank:
-        raise ValueError(f"word rank {w.rank} != graph rank {graph.rank}")
-    steps = graph._steps
-    state = 0
-    for l in w.letters:
-        state = steps.get((state, l))
-        if state is None:
-            return False
-    return state == 0
 
 
 def coset_canonical_word(graph: StallingsGraph, w: Word) -> Word:

@@ -89,16 +89,6 @@ class OrbitCheck(Record):
     __slots__ = ("s_ratio", "cardinality_ok", "injectivity_failures", "equivariance_failures",
                  "triples_checked")
 
-    def __init__(
-        self, s_ratio: Fraction, cardinality_ok: bool, injectivity_failures: tuple[str, ...],
-        equivariance_failures: tuple[str, ...], triples_checked: int,
-    ) -> None:
-        object.__setattr__(self, "s_ratio", s_ratio)
-        object.__setattr__(self, "cardinality_ok", cardinality_ok)
-        object.__setattr__(self, "injectivity_failures", injectivity_failures)
-        object.__setattr__(self, "equivariance_failures", equivariance_failures)
-        object.__setattr__(self, "triples_checked", triples_checked)
-
 
 def check_orbit_witness(
     action: ActionSpec,
@@ -186,17 +176,6 @@ def check_orbit_witness(
 class VerificationReport(Record):
     __slots__ = ("epsilon", "carrier_size", "permutation_failures", "unital", "max_defect",
                  "orbit")
-
-    def __init__(
-        self, epsilon: Fraction, carrier_size: int, permutation_failures: tuple[str, ...],
-        unital: bool, max_defect: Fraction, orbit: OrbitCheck,
-    ) -> None:
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "carrier_size", carrier_size)
-        object.__setattr__(self, "permutation_failures", permutation_failures)
-        object.__setattr__(self, "unital", unital)
-        object.__setattr__(self, "max_defect", max_defect)
-        object.__setattr__(self, "orbit", orbit)
 
     @property
     def multiplicative_ok(self) -> bool:

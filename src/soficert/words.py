@@ -18,19 +18,29 @@ MAX_RANK = 26
 
 class Record:
     """An immutable value whose fields are the names in ``__slots__``, in
-    order, but ``"__dict__"``, which a ``cached_property`` needs.  Equal
-    records share a class and equal fields, the hash is the field tuple's,
-    the repr is ``Name(field=value, ...)``, and assigning or deleting any
-    attribute raises ``AttributeError``.  Each subclass's ``__init__``
-    sets its fields with ``object.__setattr__``.  A plain class, not a
-    frozen dataclass: the decorator runs six generated ``exec``s per
-    class at every import of the package, and ``dataclasses`` loads
-    ``inspect`` into every process."""
+    order, but ``"__dict__"``, which a ``cached_property`` needs.  The
+    constructor takes one value per field in that order, the order
+    ``__reduce__`` passes them back, and raises ``TypeError`` naming the
+    class on any other count; a subclass that checks its values runs its
+    checks first, then ``Record.__init__``.  ``Word`` alone stores its two
+    fields itself.  Equal records share a class and equal fields, the hash
+    is the field tuple's, the repr is ``Name(field=value, ...)``, and
+    assigning or deleting any attribute raises ``AttributeError``.  A
+    plain class, not a frozen dataclass: the decorator runs six generated
+    ``exec``s per class at every import of the package, and
+    ``dataclasses`` loads ``inspect`` into every process."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}")
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -70,11 +80,9 @@ class Word(Record):
         for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise ValueError(f"word {letters} is not freely reduced")
+        # stored directly: Words are built by the thousand per pass
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def __repr__(self) -> str:
         return f"Word({self.text()!r}, rank={self.rank})"

@@ -15,13 +15,13 @@ import time
 import pytest
 
 from soficert.actions import BiregularAction, CosetAction, RestrictedAction
-from soficert.builder import approximate, restrict_certificate, separation_targets
+from soficert.builder import approximate, contains, restrict_certificate, separation_targets
 from soficert.certificate import load_certificate
 from soficert.cli import main
 from soficert.harness import mutation_battery, oracle_agreement, oracle_cases
 from soficert.permutations import compose, inverse
 from soficert.quotients import CosetTable, coset_of, hall_completion, image_group
-from soficert.stallings import contains, core_graph
+from soficert.stallings import core_graph
 from soficert.words import Word, parse_word
 
 # rank, subgroup generators, F, E -- generator counts <= 3, word lengths

@@ -14,8 +14,8 @@ from soficert.actions import (
     element_invert,
     element_multiply,
 )
-from soficert.builder import pairwise_differences, separation_targets
-from soficert.stallings import contains, core_graph
+from soficert.builder import contains, pairwise_differences, separation_targets
+from soficert.stallings import core_graph
 from soficert.words import identity, invert, multiply, parse_word
 
 
@@ -48,7 +48,7 @@ def test_canonical_point_frozen():
 
 def shortlex(w):
     """Length first, then letters with generators before inverses, ascending."""
-    return len(w), [(0, l) if l > 0 else (1, -l) for l in w.letters]
+    return len(w.letters), [(0, l) if l > 0 else (1, -l) for l in w.letters]
 
 
 def test_canonical_point_shortlex_oracle():
@@ -61,7 +61,7 @@ def test_canonical_point_shortlex_oracle():
         for u in frontier:
             for l in (1, 2, -1, -2):
                 v = multiply(u, parse_word("abAB"[{1: 0, 2: 1, -1: 2, -2: 3}[l]], 2))
-                if len(v) == len(u) + 1:
+                if len(v.letters) == len(u.letters) + 1:
                     nxt.append(v)
         frontier = nxt
         everything.extend(nxt)

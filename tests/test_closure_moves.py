@@ -153,7 +153,7 @@ def test_verify_composes_once_per_letter_after_the_first(monkeypatch):
     cert = approximate(spec, F, E)
 
     def folds(words):
-        return sum(max(len(g) - 1, 0) for g in words)
+        return sum(max(len(g.letters) - 1, 0) for g in words)
 
     cancelling = [multiply(g, h) for g in F for h in F
                   if multiply(g, h).letters != g.letters + h.letters]

@@ -193,7 +193,7 @@ def import_closure(stem):
 
 # the builder's finite-quotient code, which lives in quotients.py and builder.py
 BUILDER_ONLY = {"hall_completion", "CosetTable", "image_group", "ImageGroup", "order_bound",
-                "separation_targets", "pairwise_differences"}
+                "separation_targets", "pairwise_differences", "contains"}
 
 
 def test_verifier_trusts_only_the_certificate_format_and_the_point_algebra():

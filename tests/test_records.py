@@ -1,17 +1,19 @@
 """The package's value records: equality, hash, immutability, repr and
 constructor checks of each, as the frozen dataclasses they replaced
-gave them.  Each expected repr is the dataclass's own string."""
+gave them.  Each expected repr is the dataclass's own string, but
+``ImageGroup``'s, which was never a dataclass."""
 
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from soficert.actions import BiregularAction, CosetAction, RestrictedAction
 from soficert.certificate import Certificate, OrbitWitness, SoficApproximation
 from soficert.cli import JobConfig
-from soficert.quotients import CosetTable
+from soficert.quotients import CosetTable, image_group
 from soficert.stallings import StallingsGraph
 from soficert.verifier import OrbitCheck, VerificationReport
 from soficert.words import Word
@@ -88,6 +90,10 @@ RECORDS = {
         "F=(Word('a', rank=2), Word('b', rank=2)), E=(Word('1', rank=2), Word('b', rank=2)), "
         "epsilon=Fraction(1, 3), core_cap=10, out=None)",
         ("action", "F", "E", "epsilon", "core_cap", "out")),
+    "ImageGroup": (
+        lambda: image_group([(1, 0)], 2),
+        r"ImageGroup(encoded=(b'\x00\x01', b'\x01\x00'), moves=((1, 0), (1, 0)))",
+        ("encoded", "moves")),
 }
 
 
@@ -95,7 +101,7 @@ RECORDS = {
 def test_record_semantics(name):
     make, expected_repr, fields = RECORDS[name]
     record, twin = make(), make()
-    for cached in ("_steps", "inverses", "inverse_images"):  # not fields
+    for cached in ("_steps", "inverses", "inverse_images", "elements"):  # not fields
         getattr(record, cached, None)
     values = tuple(getattr(record, f) for f in fields)
     assert type(record).__name__ == name and repr(record) == expected_repr
@@ -113,6 +119,25 @@ def test_record_semantics(name):
             delattr(record, field)
     assert tuple(getattr(record, f) for f in fields) == values
     assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_a_value_too_few_or_too_many(name):
+    # one value per field; without the count check the generic
+    # constructor's zip would drop an extra value or leave a field unset
+    make, _, fields = RECORDS[name]
+    record = make()
+    values = tuple(getattr(record, f) for f in fields)
+    for wrong in (values[:-1], values + values[-1:]):
+        with pytest.raises(TypeError, match=rf"^{name}\b"):
+            type(record)(*wrong)
+
+
+def test_only_words_py_stores_fields_directly():
+    # every other record stores its fields through Record.__init__
+    package = Path(__file__).resolve().parents[1] / "src" / "soficert"
+    storing = [p.name for p in sorted(package.glob("*.py")) if "object.__setattr__" in p.read_text()]
+    assert storing == ["words.py"]
 
 
 def test_records_differing_in_one_field_are_unequal():

@@ -69,7 +69,7 @@ def test_rank_mismatch():
 
 def shortlex(w):
     """Length first, then letters with generators before inverses, ascending."""
-    return len(w), [(0, l) if l > 0 else (1, -l) for l in w.letters]
+    return len(w.letters), [(0, l) if l > 0 else (1, -l) for l in w.letters]
 
 
 def test_shortlex_order():
