@@ -49,7 +49,7 @@ def main() -> None:
         print(f"  coset of {x.text()!r}: {coset_of(table, x)} (nonzero = avoided)")
 
     print("\n== permutation image group ==")
-    group = image_group(table.images, table.size)
+    group = image_group(table.inverses, table.size)
     print(f"closure size: {len(group)} (vs |Sym({table.size})| = {math.factorial(table.size)})")
 
     print("\n== certificate ==")

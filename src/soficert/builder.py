@@ -225,13 +225,12 @@ def finite_index_witness(
     of ``table``, with its witness at the cosets ``labels``: A is the
     group the coset permutations generate, acting on itself by left
     composition, B is all n cosets and the row of a carrier point s is
-    s^-1.  Generator i moves the cosets by ``table.inverses[i]``, the
-    closure's step rank + i, so the images are its move rows from rank on.
+    s^-1.  Generator i moves the cosets by ``table.inverses[i]``, so A is
+    closed under those maps and the images are the closure's move rows.
     """
-    group = image_group(table.images, table.size, core_cap)
-    images = group.moves[table.rank:]
-    approx = SoficApproximation("free", table.rank, len(group), images)
-    return approx, orbit_witness(images, table.inverses, labels)
+    group = image_group(table.inverses, table.size, core_cap)
+    approx = SoficApproximation("free", table.rank, len(group), group.moves)
+    return approx, orbit_witness(group.moves, table.inverses, labels)
 
 
 def _separating_quotient(
@@ -272,7 +271,7 @@ def _separating_quotient(
     """
 
     def quotient(table: CosetTable, route: str):
-        return table, image_group(table.images, table.size, QUOTIENT_ORDER_MAX), route
+        return table, image_group(table.inverses, table.size, QUOTIENT_ORDER_MAX), route
 
     try:
         return quotient(hall_completion(core_graph([], rank), list(targets)), "hall-core")
@@ -378,8 +377,8 @@ def biregular_approximation(
     left translation and B is Q.  The left factor moves B by left
     translation, the right factor by q -> q a^-1, and the row at the
     identity (1, 1) is the identity, so the row at (u, v) is
-    q -> u^-1 q v.  The left translations are the quotient closure's
-    move rows, as in :func:`finite_index_witness`.
+    q -> u^-1 q v.  The left translations are the move rows of the
+    closure under ``table.inverses``, as in :func:`finite_index_witness`.
     """
     table, group, route = _separating_quotient(rank, pairwise_differences(E))
     elements = group.elements
@@ -391,7 +390,7 @@ def biregular_approximation(
     if len(set(e_labels)) != len(e_labels):
         raise AssertionError("separating quotient produced a label collision")
 
-    left = list(group.moves[rank:])
+    left = list(group.moves)
     # q -> q g^-1, where g^-1 maps to the walk table.images[i]
     right = [tuple(index[compose(p, g_inv)] for p in elements) for g_inv in table.images]
     images = [tuple(tr[u] * m + v for u in range(m) for v in range(m)) for tr in left]
@@ -479,7 +478,6 @@ def approximate(
         approx, witness = finite_index_witness(table, labels, core_cap)
     provenance = {
         "builder": "exact-homomorphism",
-        "strategy": "core",
         "requested_epsilon": str(epsilon),
         "separator": {"index": table.size, "images": [list(p) for p in table.images]},
         "point_labels": labels,

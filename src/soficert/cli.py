@@ -100,8 +100,9 @@ def _summary(cert: Certificate, out: str | None) -> dict:
         "carrier_size": cert.approx.size,
         "b_size": len(cert.witness.b_labels),
         "epsilon_achieved": str(cert.epsilon),
-        "strategy": prov.get("strategy", "?"),
     }
+    if "strategy" in prov:
+        payload["strategy"] = prov["strategy"]
     if "separator" in prov:
         payload["separator_index"] = prov["separator"]["index"]
     if "quotient" in prov:

@@ -232,9 +232,9 @@ def hall_completion(graph: StallingsGraph, avoid: Sequence[Word]) -> CosetTable:
 class ImageGroup(Record):
     """A permutation group listed by its closure, with the closure's moves.
 
-    The steps are the generators, then their inverses; ``moves[k][i]``
-    is the index in ``encoded`` of step k composed after element i, so
-    a move row is the group's left-multiplication action by that step.
+    ``moves[k][i]`` is the index in ``encoded`` of generator k composed
+    after element i, so a move row is the group's left-multiplication
+    action by that generator.
     ``encoded`` holds the elements as the closure stored them: bytes on
     at most ``BYTES_DEGREE_MAX`` points, tuples above; ``elements``
     decodes them to tuples on first read.  ``len`` is the group order.
@@ -255,26 +255,25 @@ def image_group(
 ) -> ImageGroup:
     """The permutation group generated by ``generators`` on ``degree``
     points, its elements in the order a breadth-first closure from the
-    identity discovers them (each generator, then each inverse), and the
-    index of every product the closure forms.
+    identity discovers them, and the index of every product it forms.
+    The closure takes no inverse: g^-1 is a power of g in a finite group.
 
     The group is sized by a Schreier-Sims chain first; one of order
     above ``cap`` is refused before any element is listed.  On at most
     ``BYTES_DEGREE_MAX`` points an element u is bytes and p . u is
     ``u.translate`` of p's byte table; above, u is a tuple and one
-    gather through u, applied to every step p, gives p . u.
+    gather through u, applied to every generator p, gives p . u.
     """
     order = order_bound(generators, degree, cap)
     if order > cap:
         raise CoreTooLargeError(
             f"image group exceeds cap {cap} on {degree} points (order at least {order})"
         )
-    steps = list(generators) + [inverse(p) for p in generators]
     if degree <= BYTES_DEGREE_MAX:
         first, product = bytes(range(degree)), attrgetter("translate")
-        steps = [byte_table(p) for p in steps]
+        steps = [byte_table(p) for p in generators]
     else:
-        first, product = identity_perm(degree), _gather
+        first, product, steps = identity_perm(degree), _gather, generators
     index = {first: 0}
     elements = [first]
     moves: list[list[int]] = [[] for _ in steps]

@@ -77,9 +77,9 @@ def build(spec, f_texts, e_texts, rank=2, **kw):
 def test_coset_pipeline_frozen():
     cert = approximate(COSET_A, F_AB, [w2(""), w2("b")])
     assert cert.approx.size == 3
-    assert cert.approx.images == ((0, 1, 2), (2, 0, 1))
+    assert cert.approx.images == ((0, 1, 2), (1, 2, 0))
     assert cert.witness.b_labels == (0, 1, 2)
-    assert cert.witness.pi == ((0, 2), (2, 1), (1, 0))
+    assert cert.witness.pi == ((0, 2), (1, 0), (2, 1))
     assert cert.witness.s_points == (0, 1, 2)
     assert cert.epsilon == 0
     assert cert.provenance["separator"]["index"] == 3
@@ -117,7 +117,7 @@ def test_core_rows_are_closed_form():
     table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
     every_coset = list(range(table.size))
     approx, wit = finite_index_witness(table, every_coset)
-    elements = image_group(table.images, table.size).elements
+    elements = image_group(table.inverses, table.size).elements
     assert approx.size == len(elements) == len(wit.pi)
     assert wit.s_points == tuple(range(len(elements))) and wit.b_labels == tuple(every_coset)
     for image, g in zip(approx.images, table.inverses):
@@ -141,7 +141,7 @@ def test_literal_matches_core_rows():
     table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
     approx, wit = finite_index_witness(table, list(range(table.size)))
     carrier_lit, images_lit, pi_lit = literal_rows(table)
-    carrier_core = image_group(table.images, table.size).elements
+    carrier_core = image_group(table.inverses, table.size).elements
     assert len(carrier_core) < len(carrier_lit)
     index = {p: i for i, p in enumerate(carrier_lit)}
     for j, s in enumerate(carrier_core):

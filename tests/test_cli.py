@@ -70,8 +70,11 @@ def test_approx_writes_and_reports(tmp_path, capsys):
     assert summary["carrier_size"] == 3
     assert summary["separator_index"] == 3
     assert summary["epsilon_achieved"] == "0"
+    # strategy names the biregular quotient route; a coset job has none
+    assert "strategy" not in summary
     data = json.loads(open(out).read())
     assert data["S"] == [0, 1, 2]
+    assert "strategy" not in data["provenance"]
 
 
 def test_approx_is_byte_deterministic(tmp_path):
@@ -162,6 +165,7 @@ def test_approx_biregular_job(tmp_path, capsys):
     assert main(["approx", "--config", cfg, "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["carrier_size"] == summary["quotient_order"] ** 2
+    assert summary["strategy"] == "hall-core"
 
 
 CONJUGATION_JOB = {"action": {"kind": "restricted", "inner": {"kind": "biregular", "rank": 2},
@@ -739,41 +743,41 @@ def test_readme_job_config_builds(tmp_path, monkeypatch, capsys):
 # it also fails on any change to the layout.
 PINNED_FIXTURES = [
     (2, [], ["1", "a"],
-     ("32b7de7583d80f028c4db785f714441a02e9aa96b430d59c6af64d3e117d21b4",
-      "20af13db0eb40b89814b50d2ee6cf4a5ac8b78bf94c2f0f1bc825c4db1d81d0d")),
+     ("fc26e85da89d63a9295fa785396409c0e52b7171e03a2be15bdd1cbc22c2af72",
+      "858340f1b595804f5f3be954ed8d41eb61d99711b27073bcf0d44be6676b99cd")),
     (2, ["a"], ["1", "b"],
-     ("797fc6a7cb292bd1b6d1e48ee542dbdc99551de64c4899662a77da43243f2242",
-      "5f0ed9999a3938aaa609569f24bde2ab1e52fa2b72b71c3a6e58c09ef7003473")),
+     ("e4a913a4caf4de15f768d5f98ee627c2ef122f5d2e271f7642a6231a59b98939",
+      "da6ee03d20889f48463f2b2ba7f0e0457aaf2e0ad30ba57711bc838847d4ef55")),
     (2, ["aa", "b"], ["1", "a"],
-     ("7a199b2312bde995c6c6edfdbdcd4b085957dcdc2628a974e508b975fd6b9555",
-      "da7d773b7a82d4b6b8aff7111e1e9c04aecdbed9fde019ef8eea2b4dd993813a")),
+     ("f49fe72a7951aa32ba4d9cbd077a07814ca89cba3028df5590ab158337a92da0",
+      "36f018cada1b7ed7ac25f20f2998a28566112e674d564808cec0c34d37d76ffb")),
     (2, ["ab", "ba"], ["1", "a"],
-     ("1f75a2aa2fb9d463b66ae5042ee7adb8c38ebcc117c295a78f496470623ced63",
-      "54ee4af9c4ff19929eb0e481c57171413875efaa92b7676ccff0f939f81cd301")),
+     ("ca425990700d2aaa479bf5d35a02526ce0a77c373b9ffd68c458ae649a791291",
+      "2a633152dd92dbe9613e3f52e23b7b60cb45570b5f4bacbd5c00245f4ecb1770")),
     (2, ["abA"], ["1", "a"],
-     ("901863c9ba484cbff0481399d89e0004c0b5a9ea009a0f239b370a6851e6f3cc",
-      "85f9c21243b705543a98312922ed2c08e31126851e0d53129e2066ecc7524486")),
+     ("e804aa1783673fae2ce2515428167a29d0121dcf516433f564b2f9fe974e586d",
+      "10cbfd9549f0ac4b3d4c18b3fdd84bd0179ec662d2fe4b66a62b8ce0f93cdaa2")),
     (2, ["aa", "ab"], ["1", "a"],
-     ("a6055074602f56664843dea5a0a7c0861d450999b8dfb409adfa71b6ac4a7804",
-      "eec7d350b9bc2841f07d8fa6d73b35eaadae56247f8c70e5f2f95a6f7a4a9ea5")),
+     ("609deb863db4cc32c4baf72ceed499d55ba4116d85f374a957caea387bb28845",
+      "1dc239247a2420b903bd955a7e75376b16db174649ae03e100465f2518489f02")),
     (2, ["a", "bb"], ["1", "b"],
-     ("f7e02deee9bfb384b457136ae8c664ca41346b5f1f3896de91704f42341e8079",
-      "6d74f348b1f53839bb98b49bfff3af27081f2e8e030520285a9d426ce32a25f1")),
+     ("43a6dd6193e33b2d0708e9a4b943cbfc3fcf7b658a7e1e896acd35e88ffdd557",
+      "72c8eb7f040844f913e3a16d09df58d2d91b4160cb30f6088f339101fdb154ee")),
     (2, ["aba"], ["1", "a", "ab"],
-     ("b6863408715e9291cc138cd52975a8f67d775e74c5971d6c217519f0cbcd975f",
-      "0007512ba6c16ebfe981fe47ca3bf04562fa89a4d170c16aff0b4ca73fc93ac7")),
+     ("fc18596f59ca62a15c03cb9d7d500e0f63852351d6638a70ae5ddf963dacc746",
+      "1ded0a2c67c202637482b3331ab63e8e1bca77b62fb94623c243b1ecaf194f3a")),
     (3, [], ["1", "a"],
-     ("32159687ae8b8827403af80e26a24153d8eee9158be6946f1504ed4fbd3abf9f",
-      "b93351badb82002f8fa09c359958d4b336979f3d1f8ec67a51339dbd29916f66")),
+     ("561a1d251caba7156d907e4e503963e0d7208b2a5a8c135c86671d12041edd91",
+      "a677cfeaa8ccac3e53f397b01ed4255340895d4b569ccc7aa0e0fa9699999b7c")),
     (3, ["a", "b"], ["1", "c"],
-     ("a6b80758d313dcf06edb008a4aaddbe063b4dc0b56d865dfec8d9f159f72e4e1",
-      "e78ad8a2990980198c931822fa51661c53edbb456040883ec5c60c06a259a658")),
+     ("ce4c9cd064a303632eb07f79fd454d67320f04dbabd6e6789f028d7782995470",
+      "e43a855d79da9682f4a8dca0b26a49f7a9b18d90df00dd68f9990be99c81edf5")),
     (3, ["ab", "c"], ["1", "a"],
-     ("e9322eb06e8274f1f080f2af8291a6bd67c0979c563a2d1513b2e2c5fee459b9",
-      "060fb6353cfdd614c3741130467e2c0f89cd8fd83a1d16bb1110189c3de436a2")),
+     ("fea2b8c7832efca95215d1b7d65249626cfb509b99e72d1ecf4fa909f247a31c",
+      "dae52ef4a46be866e75c2bd12eb747fdebb9df312c1a311e12eabbfe6519c01b")),
     (3, ["aa", "b", "c"], ["1", "a"],
-     ("69fb2af0329c685e9f32910b8db90bf985233cdc91e47e89042e2ecff870b9b2",
-      "c3be7e456db1b56a3b160850c3f5cfec8af084f755ee186854ebb811e097f6b2")),
+     ("a0236aafd6bc73ec4b366bd96de2c2777b784181950b10ca2c99c48d963e12a6",
+      "471856aab9ef56e04e4c30d42b4e0f9f87ab3226d60dd7f466b1dac48f611e1c")),
 ]
 PINNED_BIREGULAR = ("afb9966c778741d22c75ef728b58086a384542f98f443c152b4d2234ef48f48b",
                     "2ee9da1eb5d4b63ce9a5a39ca11b4a2eb16ea62a75f4b2d0f5bf965eaae3fec6")
@@ -784,14 +788,14 @@ PINNED_CONJ_DEMO = ("b0e0d60755a0aafd173d034ab08071661491838dcbe1711d0194f6bda66
 PINNED_LARGE = [
     ({"action": {"kind": "coset", "rank": 2, "subgroup": ["aabb"]},
       "F": ["a", "b", "ab", "ba", "aB"], "E": ["1", "a", "b"]},
-     ("eacc89c0b391a06c3345360364baef590d3e68b966e7a8e359e00201153dfd3a",
-      "b9c26568bb77f7398420079e0077dd9e96c2cc39923506f3c6b8e2ea54c90534")),
+     ("a0c9dbb1a3e1be69d9a7bfa3d24bd53b23a84436e2121bebe2380208a1445a0e",
+      "c6639d241623dae56adab9afc31e1bb142fd9eb81cc8af887cf310f4cb595a4a")),
     ({"action": {"kind": "biregular", "rank": 2},
       "F": [["a", "1"], ["b", "1"], ["1", "a"], ["1", "b"]],
       "E": ["1", "a", "b", "A", "B", "aa", "ab", "aB", "ba", "bb", "bA", "Ab", "AA", "AB",
             "Ba", "BA", "BB"]},
-     ("a0f559674769ff47df36c164bc002b583861127c1a2dc7fd4d54ccae0d2cff76",
-      "a59233dfcd0ee6931a50ccd4579031d92a5bd91691a3c05d8ec21084408f92f0")),
+     ("24605fce32c6400632e6b6c5a38c7413ef1b89b1f7ccd859d7889621cff3b1cc",
+      "3a4a23c3446b79ae5b8f6824e51bedc159f4e9ab2180007762de6282d07558ec")),
 ]
 # the benchmark's other certificates: small-jobs' abab-bb, fold's
 # cascade-200, whose 200-letter generators fold to one vertex, and the
@@ -800,25 +804,25 @@ REFUSAL_CAPS = {"core_cap": 10**5}
 PINNED_BENCH = [
     ({"action": {"kind": "coset", "rank": 2, "subgroup": ["abab", "bb"]},
       "F": ["a", "b"], "E": ["1", "a"]},
-     ("fc9c5f69e93ff06bc941c4ce772e524331b8354108fe1039906b7741e637c62b",
-      "f9759b9a5dee7b1e8009aa2ab6731268a29122387af4879a1e8a0fa503ebfc3a")),
+     ("5f6d7db18324e6101598154d4bc02af584767b49800793a96536c9e2035246b0",
+      "f3f4f9d3b2ac934144a7b21dcb983c357f70b1c30baaa89d2f40aabb3e4991fa")),
     ({"action": {"kind": "coset", "rank": 2,
                  "subgroup": ["a" * 200, "a" * 201, "b" * 200, "b" * 199]},
       "F": ["a", "b"], "E": ["1"]},
-     ("cee4b1273d185b3e2e7c25b6f960a60219fa36272a142aa7b1b50ba5e36ef4cd",
-      "4b2c30c899a7aa8572d86fad68697efe2823676767e73a6a9e123f6bf79d61df")),
+     ("dbe8777fc4cae8db67f4b10c75ffd435b64c97d081b20daa915ddb311f1dc8d5",
+      "c4190106225841b2b8af7a52b5663efc93586a7a53c624ed24d799c7e8715099")),
     ({"action": {"kind": "coset", "rank": 2, "subgroup": []},
       "F": ["a", "b"], "E": ["1", "a"], "caps": REFUSAL_CAPS},
-     ("32b7de7583d80f028c4db785f714441a02e9aa96b430d59c6af64d3e117d21b4",
-      "20af13db0eb40b89814b50d2ee6cf4a5ac8b78bf94c2f0f1bc825c4db1d81d0d")),
+     ("fc26e85da89d63a9295fa785396409c0e52b7171e03a2be15bdd1cbc22c2af72",
+      "858340f1b595804f5f3be954ed8d41eb61d99711b27073bcf0d44be6676b99cd")),
     ({"action": {"kind": "coset", "rank": 2, "subgroup": ["abAB"]},
       "F": ["a", "b"], "E": ["1", "a"], "caps": REFUSAL_CAPS},
-     ("c56265d272f5cd6cf2699626b74a9a02bb0c4a58ffefc1913a2ad172fbd82e36",
-      "578862c506215929b042b93c68135f4e7d1b5f9a68db4b87a88cc6a45aee0c09")),
+     ("eb5377df0dbc20d24505d2572cb852447fa68e969c277c269cc61420bf40e2e7",
+      "c73700588f480536cdbd8954d86bcfbcbe55feb00f9f4cd3426b983cbd6702b1")),
     ({"action": {"kind": "coset", "rank": 2, "subgroup": ["aabb"]},
       "F": ["a", "b"], "E": ["1", "a"], "caps": REFUSAL_CAPS},
-     ("27a4c77ab158e29fbd254d8c0d15ba971444a20bd63cdf1cc7f703cc9632c0ea",
-      "1db6634149f54b32e48a042d0cdea944c15f24176f039b55a5514c6674676573")),
+     ("f027fb7448b24d87940695452235a1572cf1e764fcc79a73aa674cd94af04ae7",
+      "b2072680cfefd787d7a57de578931c5312e0eb1cef80ae9f13b298c82f6fd2e5")),
 ]
 
 

@@ -2,17 +2,19 @@
 gathers, against the code they replaced.
 
 The previous ``image_group`` and ``orbit_witness`` are kept below as
-references, with the ``compose`` they called; the witness reference
-walks one orbit from the identity row at point 0, as the routine does
-since every carrier is one orbit.  The new
-closure must list the same elements in the same order, and each move
-row must be the step composed after every element; the new walk must
-fill the same rows, at one label and on a one-label B too, where
-``itemgetter`` cannot be used as a gather.  Both must do so on either
-side of the 256 points up to which they store permutations as bytes.
-Building the 40 320-point aabb-f5 certificate must stay within a count
-of compositions, and verifying it must make exactly the count that its
-letters call for.
+references, with the ``compose`` they called; the closure reference
+steps over the given generators only and the witness reference walks
+one orbit from the identity row at point 0, as the routines do since
+every carrier is a finite group acting on itself.  The new closure
+must list the same elements in the same order, and each move row must
+be the generator composed after every element, so a carrier's own
+breadth-first walk from point 0 meets its points in index order.  The
+new walk must fill the same rows, at one label and on a one-label B
+too, where ``itemgetter`` cannot be used as a gather.  Both must do
+so on either side of the 256 points up to which they store
+permutations as bytes.  Building the 40 320-point aabb-f5 certificate
+must stay within a count of compositions, and verifying it must make
+exactly the count that its letters call for.
 """
 
 import random
@@ -41,6 +43,7 @@ from soficert.quotients import (
 )
 from soficert.verifier import verify_certificate
 from soficert.words import invert, multiply, parse_word
+from test_acceptance import FIXTURES
 
 # ---------------------------------------------------------------------------
 # the references
@@ -52,7 +55,7 @@ def _reference_image_group(generators, degree, cap=DEFAULT_CORE_CAP):
         raise CoreTooLargeError(
             f"image group exceeds cap {cap} on {degree} points (order at least {order})"
         )
-    steps = list(generators) + [inverse(p) for p in generators]
+    steps = list(generators)
     first = identity_perm(degree)
     seen = {first}
     elements = [first]
@@ -108,12 +111,31 @@ def test_closure_matches_reference_and_moves_are_products(degree, data):
     group = image_group(gens, n)
     assert list(group.elements) == _reference_image_group(gens, n)
     assert len(group) == len(group.elements) == order_bound(gens, n)
-    steps = gens + [inverse(p) for p in gens]
-    assert len(group.moves) == len(steps)
-    for step, row in zip(steps, group.moves):
+    assert len(group.moves) == len(gens)
+    for gen, row in zip(gens, group.moves):
         assert len(row) == len(group)
         for i, u in enumerate(group.elements):
-            assert group.elements[row[i]] == compose(step, u)
+            assert group.elements[row[i]] == compose(gen, u)
+
+
+def test_carrier_walk_meets_points_in_index_order():
+    # the carrier is numbered by the closure under the maps phi(g_i), so
+    # a breadth-first walk over phi's images from point 0, which is the
+    # walk orbit_witness makes, reaches 0, 1, ..., |A| - 1 in turn; the
+    # acceptance fixtures, then the 40320-point aabb-f5 bench job
+    jobs = FIXTURES + [(2, ["aabb"], ["a", "b", "ab", "ba", "aB"], ["1", "a", "b"])]
+    for rank, sub, F, E in jobs:
+        w = lambda t: parse_word(t, rank)
+        spec = CosetAction(rank, tuple(map(w, sub)))
+        images = approximate(spec, list(map(w, F)), list(map(w, E))).approx.images
+        order = [0]
+        seen = {0}
+        for s in order:  # the list grows while it is walked
+            for image in images:
+                if image[s] not in seen:
+                    seen.add(image[s])
+                    order.append(image[s])
+        assert order == list(range(len(images[0]))), (rank, sub)
 
 
 def test_core_build_reads_images_off_the_closure(monkeypatch):

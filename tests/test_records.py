@@ -92,7 +92,7 @@ RECORDS = {
         ("action", "F", "E", "epsilon", "core_cap", "out")),
     "ImageGroup": (
         lambda: image_group([(1, 0)], 2),
-        r"ImageGroup(encoded=(b'\x00\x01', b'\x01\x00'), moves=((1, 0), (1, 0)))",
+        r"ImageGroup(encoded=(b'\x00\x01', b'\x01\x00'), moves=((1, 0),))",
         ("encoded", "moves")),
 }
 
