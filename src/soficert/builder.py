@@ -6,21 +6,22 @@ satisfies its equivariance equalities on the nose, so the claimed
 epsilon is always 0.
 
 Each construction is a finite group acting on itself by left
-translation, which is one orbit whose point 0 is the identity, and one
-routine, :func:`orbit_witness`, fills pi for all of them: it walks the
-carrier from point 0, whose row is the identity, and sets
-row(phi(g)s) = row(s) . g_B^-1, keeping the columns at E's labels.
+composition, and one routine, :func:`finite_index_witness`, builds phi
+and pi for all of them from the generators' permutations g_B of the
+label set B.  The carrier is the group the g_B generate, its point 0
+the identity with the identity row; row(phi(g)s) = row(s) . g_B^-1
+makes the row of s its inverse, which the closure that lists the group
+stores, and pi keeps the columns at E's labels.  phi is read off the
+closure's move rows.
 
 * core — for a separating table K of index n (left cosets labeled as in
-  :mod:`soficert.quotients`), A is the group Q generated by the coset
-  permutations, the quotient by the normal core of K; g acts by left
-  composition with the permutation by which g left-multiplies the
-  cosets; B is the n cosets and the row of s is s^-1.  The closure that
-  lists Q keeps every product it forms, and phi is read off its move
-  rows.
-* biregular — G x G acting on G uses the product carrier Q x Q for a
-  finite quotient Q in which the pairwise point differences survive;
-  B is Q, moved by left translations and by q -> q a^-1.
+  :mod:`soficert.quotients`), B is the n cosets and g_B the permutation
+  by which g left-multiplies them; A is the group Q they generate, the
+  quotient by the normal core of K.
+* biregular — G x G acting on G, for a finite quotient Q in which the
+  pairwise point differences survive: B is Q, moved by left
+  translations and by q -> q a^-1, and A is the group these generate,
+  of order |Q|^2 / |Z(Q)|.
 
 Infinite-index coset actions reach the finite-index construction
 through a Hall completion that separates finitely many coset relations;
@@ -36,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import reprlib
-from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,9 +53,8 @@ from .actions import (
     check_element,
 )
 from .certificate import Certificate, OrbitWitness, SoficApproximation
-from .permutations import _gather, compose, identity_perm, inverse
+from .permutations import _gather, compose
 from .quotients import (
-    BYTES_DEGREE_MAX,
     DEFAULT_CORE_CAP,
     CoreTooLargeError,
     CosetTable,
@@ -72,7 +71,7 @@ from .words import Word, invert, multiply
 
 DEFAULT_EPSILON = Fraction(0)
 
-# a biregular carrier Q x Q stays within 10**5 points
+# a biregular carrier, of |Q|^2 / |Z(Q)| <= |Q|^2 points, stays within 10**5
 QUOTIENT_ORDER_MAX = int(100_000**0.5)
 # the small-quotient search tries the generator tuples, up to
 # conjugacy, of each degree up to this one, setting at most
@@ -167,70 +166,27 @@ def separation_targets(
 
 
 # ---------------------------------------------------------------------------
-# the one witness routine and the constructions that feed it
-
-
-def orbit_witness(
-    images: Sequence[Sequence[int]],
-    b_images: Sequence[Sequence[int]],
-    labels: Sequence[int],
-) -> OrbitWitness:
-    """Orbit witness of an exact homomorphism, propagated along the generators.
-
-    ``images[i]`` and ``b_images[i]`` are generator i's permutations of
-    the carrier and of the label set B = range(|B|); ``labels`` are the
-    B labels of E's points.  The carrier is a finite group acting on
-    itself by left translation: one generator orbit, whose point 0 is
-    the identity with the identity row B -> B.  It is walked
-    breadth-first from point 0; the step from s to phi(g)s sets
-    row(phi(g)s) = row(s) . g_B^-1, which is the equivariance identity
-    itself.  A point the walk leaves unfilled raises AssertionError.  A
-    point keeps only its row's entries at ``labels``; a full row lives
-    only while its point is queued.  Both products are built before the
-    walk.  For |B| at most ``BYTES_DEGREE_MAX`` a queued row is its byte
-    table, and row . g_B^-1 is one ``translate`` of g_B^-1's byte table
-    by it; above, a row is a tuple and the move a gather.  Either way
-    E's labels are picked by a gather, which gives a tuple of ints from
-    bytes as from a tuple.
-    """
-    b_size = len(b_images[0])
-    if b_size <= BYTES_DEGREE_MAX:
-        encode, moves = byte_table, [byte_table(inverse(p)).translate for p in b_images]
-    else:
-        encode, moves = tuple, [_gather(inverse(p)) for p in b_images]
-    steps = list(zip(images, moves))
-    pick = _gather(labels)
-    pi: list = [None] * len(images[0])
-    row = encode(identity_perm(b_size))
-    pi[0] = pick(row)
-    queue = deque([(0, row)])
-    take, put = queue.popleft, queue.append
-    while queue:
-        s, row = take()
-        for image, move in steps:
-            u = image[s]
-            if pi[u] is None:
-                moved = move(row)
-                pi[u] = pick(moved)
-                put((u, moved))
-    if None in pi:
-        raise AssertionError(f"carrier point {pi.index(None)} is not in the orbit of point 0")
-    return OrbitWitness(tuple(range(len(pi))), tuple(range(b_size)), tuple(pi))
+# the one construction and the quotients that feed it
 
 
 def finite_index_witness(
-    table: CosetTable, labels: Sequence[int], core_cap: int = DEFAULT_CORE_CAP
+    kind: str, rank: int, b_moves: Sequence[Sequence[int]], labels: Sequence[int], cap: int
 ) -> tuple[SoficApproximation, OrbitWitness]:
-    """Exact approximation of the left-multiplication action on the cosets
-    of ``table``, with its witness at the cosets ``labels``: A is the
-    group the coset permutations generate, acting on itself by left
-    composition, B is all n cosets and the row of a carrier point s is
-    s^-1.  Generator i moves the cosets by ``table.inverses[i]``, so A is
-    closed under those maps and the images are the closure's move rows.
+    """Exact approximation of a finite group acting on itself, with its
+    witness at the B labels ``labels``.
+
+    ``b_moves`` are the generators' permutations of B = range(|B|), in
+    the order of ``kind``'s generator images.  A is the group they
+    generate, acting on itself by left composition, so phi is the
+    closure's move rows.  The point 0 is the identity with the identity
+    row, and row(phi(g)s) = row(s) . g_B^-1 makes the row of s its
+    inverse, which the closure lists: pi keeps its entries at ``labels``.
     """
-    group = image_group(table.inverses, table.size, core_cap)
-    approx = SoficApproximation("free", table.rank, len(group), group.moves)
-    return approx, orbit_witness(group.moves, table.inverses, labels)
+    degree = len(b_moves[0])
+    group = image_group(b_moves, degree, cap)
+    approx = SoficApproximation(kind, rank, len(group), group.moves)
+    pi = tuple(map(_gather(labels), group.rows))
+    return approx, OrbitWitness(tuple(range(len(pi))), tuple(range(degree)), pi)
 
 
 def _separating_quotient(
@@ -373,30 +329,26 @@ def biregular_approximation(
     F and E come checked and canonical from ``approximate``.
 
     For a normal finite-index K in which the pairwise differences of E
-    survive, the carrier is Q x Q for Q = G/K acting coordinatewise by
-    left translation and B is Q.  The left factor moves B by left
-    translation, the right factor by q -> q a^-1, and the row at the
-    identity (1, 1) is the identity, so the row at (u, v) is
-    q -> u^-1 q v.  The left translations are the move rows of the
-    closure under ``table.inverses``, as in :func:`finite_index_witness`.
+    survive, B is Q = G/K, the left factor moves B by left translation
+    and the right factor by q -> q a^-1.  G x G acting on G is the action
+    on the cosets of the diagonal, so this is the coset construction
+    again: the carrier is the group those translations generate, of
+    order |Q|^2 / |Z(Q)|, acting on itself.  The left translations are
+    the move rows of Q's closure under ``table.inverses``.
     """
     table, group, route = _separating_quotient(rank, pairwise_differences(E))
-    elements = group.elements
-    m = len(elements)
-    index = {p: i for i, p in enumerate(elements)}
-    # x's left multiplication of the cosets, generator i moving them by table.inverses[i]
+    m = len(group)
+    index = {tuple(row): i for i, row in enumerate(group.rows)}
+    # x labels q_x in Q, whose row q_x^-1 is x^-1's left multiplication of the cosets
     cosets = SoficApproximation("free", rank, table.size, table.inverses)
-    e_labels = [index[cosets.permutation_of(x)] for x in E]
+    e_labels = [index[cosets.permutation_of(invert(x))] for x in E]
     if len(set(e_labels)) != len(e_labels):
         raise AssertionError("separating quotient produced a label collision")
 
-    left = list(group.moves)
-    # q -> q g^-1, where g^-1 maps to the walk table.images[i]
-    right = [tuple(index[compose(p, g_inv)] for p in elements) for g_inv in table.images]
-    images = [tuple(tr[u] * m + v for u in range(m) for v in range(m)) for tr in left]
-    images += [tuple(u * m + tr[v] for u in range(m) for v in range(m)) for tr in left]
-    approx = SoficApproximation("product", rank, m * m, tuple(images))
-    witness = orbit_witness(images, left + right, e_labels)
+    # q -> q a^-1 for a = table.inverses[i], whose row is a . q^-1
+    right = [tuple(index[compose(a, row)] for row in group.rows) for a in table.inverses]
+    b_moves = group.moves + tuple(right)
+    approx, witness = finite_index_witness("product", rank, b_moves, e_labels, m * m)
     provenance = {
         "builder": "exact-homomorphism",
         "strategy": route,
@@ -437,9 +389,10 @@ def approximate(
 
     Coset actions run the separation pipeline (targets, Hall completion
     checked against both halves of the targets, finite-index witness at
-    E's coset labels).  The biregular action is transitive and is built
-    directly on a product carrier.  Restricted actions recurse into the
-    inner action along the generator images and pull phi back.
+    E's coset labels).  The biregular action is built on the group that
+    a finite quotient's two-sided translations generate.  Restricted
+    actions recurse into the inner action along the generator images
+    and pull phi back.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -475,7 +428,7 @@ def approximate(
         if len(set(labels)) != len(labels):
             raise AssertionError("separating table produced a label collision")
     with _stage("finite_index_witness"):
-        approx, witness = finite_index_witness(table, labels, core_cap)
+        approx, witness = finite_index_witness("free", table.rank, table.inverses, labels, core_cap)
     provenance = {
         "builder": "exact-homomorphism",
         "requested_epsilon": str(epsilon),

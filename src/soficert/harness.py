@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .actions import ActionSpec, CosetAction, act, element_invert
+from .actions import ActionSpec, BiregularAction, CosetAction, act, element_invert
 from .builder import approximate
 from .certificate import (
     Certificate, CertificateFormatError, OrbitWitness, SoficApproximation,
@@ -222,7 +222,7 @@ def _swap_breaks_equivariance(data: dict) -> bool:
 def oracle_cases() -> list[Certificate]:
     """Deterministic pool of small built certificates (|A| <= 8, |E| <= 3,
     |B| <= 5) for the brute-force oracle to cross-examine."""
-    jobs: list[tuple[CosetAction, list[Word], list[Word]]] = []
+    jobs: list[tuple[ActionSpec, list, list[Word]]] = []
     for m in (2, 3, 4):
         spec = CosetAction(1, (parse_word("a" * m, 1),))
         points = [parse_word("a" * i, 1) for i in range(min(m, 3))]
@@ -243,6 +243,12 @@ def oracle_cases() -> list[Certificate]:
         spec = CosetAction(2, sub)
         for texts in e_sets:
             jobs.append((spec, f2, [w2(t) for t in texts]))
+    for rank, e_sets in [(1, [["", "a"], ["", "a", "aa"], ["", "a", "A"]]),
+                         (2, [["", "a"], ["", "a", "b"]])]:
+        one, gens = parse_word("", rank), [parse_word(chr(97 + i), rank) for i in range(rank)]
+        pairs = [(g, one) for g in gens] + [(one, g) for g in gens]
+        for texts in e_sets:
+            jobs.append((BiregularAction(rank), pairs, [parse_word(t, rank) for t in texts]))
     out = []
     for spec, F, E in jobs:
         cert = approximate(spec, F, E)

@@ -6,7 +6,9 @@ every partial letter map to a permutation yields a finite-index
 overgroup that still excludes every avoid word: Hall completion, the
 separating-subgroup constructor of the builder.  The permutation group
 that such a coset table generates is sized by a Schreier-Sims chain and
-listed by a breadth-first closure.  The verifier imports none of this
+listed by a breadth-first closure, which stores each element s as s^-1,
+the witness row of s when the group acts on itself, and records the
+index of every product it forms.  The verifier imports none of this
 module: a certificate names its points by core graphs and canonical
 coset words alone.
 
@@ -21,16 +23,15 @@ Conventions:
   homomorphism into Sym(n).
 
 The builder's inner loops store a permutation of at most
-``BYTES_DEGREE_MAX`` points as ``bytes`` instead of a tuple: then p . u
-is the one C call ``u.translate(byte_table(p))``, and a bytes key hashes
-once and is not tracked by the garbage collector.
+``BYTES_DEGREE_MAX`` points as ``bytes`` instead of a tuple: then a
+product is one ``bytes.translate`` call, and a bytes key hashes once and
+is not tracked by the garbage collector.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import attrgetter
 from typing import Sequence
 
 from .permutations import _gather, compose, identity_perm, inverse, is_permutation
@@ -176,24 +177,20 @@ class CosetTable(Record):
     def inverses(self) -> tuple[tuple[int, ...], ...]:
         return tuple(inverse(img) for img in self.images)
 
-    def walk(self, w: Word) -> int:
-        """The coset reached by reading ``w`` from coset 0."""
-        state = 0
-        for l in w.letters:
-            state = self.images[l - 1][state] if l > 0 else self.inverses[-l - 1][state]
-        return state
-
 
 def coset_of(table: CosetTable, w: Word) -> int:
     """Walk ``w`` letter by letter from coset 0.  Zero iff ``w`` is in the subgroup."""
     if w.rank != table.rank:
         raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
-    return table.walk(w)
+    state = 0
+    for l in w.letters:
+        state = table.images[l - 1][state] if l > 0 else table.inverses[-l - 1][state]
+    return state
 
 
 def left_coset_of(table: CosetTable, w: Word) -> int:
     """Label of the left coset wK.  Equal labels exactly when u^-1 v is in K."""
-    return table.walk(invert(w))
+    return coset_of(table, invert(w))
 
 
 def hall_completion(graph: StallingsGraph, avoid: Sequence[Word]) -> CosetTable:
@@ -232,22 +229,18 @@ def hall_completion(graph: StallingsGraph, avoid: Sequence[Word]) -> CosetTable:
 class ImageGroup(Record):
     """A permutation group listed by its closure, with the closure's moves.
 
-    ``moves[k][i]`` is the index in ``encoded`` of generator k composed
-    after element i, so a move row is the group's left-multiplication
-    action by that generator.
-    ``encoded`` holds the elements as the closure stored them: bytes on
-    at most ``BYTES_DEGREE_MAX`` points, tuples above; ``elements``
-    decodes them to tuples on first read.  ``len`` is the group order.
+    ``rows[i]`` is the inverse of element i: the witness row of carrier
+    point i when the group acts on itself by left composition.  A row is
+    bytes on at most ``BYTES_DEGREE_MAX`` points and a tuple above.
+    ``moves[k][i]`` is the index of generator k composed after element
+    i, so a move row is the group's left-multiplication action by that
+    generator.  ``len`` is the group order.
     """
 
-    __slots__ = ("encoded", "moves", "__dict__")
-
-    @cached_property
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.encoded))
+    __slots__ = ("rows", "moves")
 
     def __len__(self) -> int:
-        return len(self.encoded)
+        return len(self.rows)
 
 
 def image_group(
@@ -259,10 +252,11 @@ def image_group(
     The closure takes no inverse: g^-1 is a power of g in a finite group.
 
     The group is sized by a Schreier-Sims chain first; one of order
-    above ``cap`` is refused before any element is listed.  On at most
-    ``BYTES_DEGREE_MAX`` points an element u is bytes and p . u is
-    ``u.translate`` of p's byte table; above, u is a tuple and one
-    gather through u, applied to every generator p, gives p . u.
+    above ``cap`` is refused before any element is listed.  The closure
+    stores each element s as its row s^-1 and steps row(p . s) =
+    row(s) . p^-1.  On at most ``BYTES_DEGREE_MAX`` points that is
+    ``bytes(p^-1).translate`` of the row padded to a byte table; above,
+    one gather through p^-1.
     """
     order = order_bound(generators, degree, cap)
     if order > cap:
@@ -270,24 +264,25 @@ def image_group(
             f"image group exceeds cap {cap} on {degree} points (order at least {order})"
         )
     if degree <= BYTES_DEGREE_MAX:
-        first, product = bytes(range(degree)), attrgetter("translate")
-        steps = [byte_table(p) for p in generators]
+        first, tail = bytes(range(degree)), bytes(range(degree, 256))
+        steps = [bytes(inverse(p)).translate for p in generators]
     else:
-        first, product, steps = identity_perm(degree), _gather, generators
+        first, tail = identity_perm(degree), ()
+        steps = [_gather(inverse(p)) for p in generators]
     index = {first: 0}
-    elements = [first]
+    rows = [first]
     moves: list[list[int]] = [[] for _ in steps]
-    find, discover = index.get, elements.append
-    records = [(p, row.append) for p, row in zip(steps, moves)]
-    for u in elements:  # the list grows while it is walked
-        after = product(u)
-        for p, record in records:
-            v = after(p)
+    find, discover = index.get, rows.append
+    records = [(step, move.append) for step, move in zip(steps, moves)]
+    for row in rows:  # the list grows while it is walked
+        table = row + tail
+        for step, record in records:
+            v = step(table)
             i = find(v)
             if i is None:
-                i = index[v] = len(elements)
+                i = index[v] = len(rows)
                 discover(v)
             record(i)
-    if len(elements) != order:
-        raise AssertionError(f"closure has {len(elements)} elements, stabilizer chain {order}")
-    return ImageGroup(tuple(elements), tuple(map(tuple, moves)))
+    if len(rows) != order:
+        raise AssertionError(f"closure has {len(rows)} elements, stabilizer chain {order}")
+    return ImageGroup(tuple(rows), tuple(map(tuple, moves)))

@@ -106,7 +106,7 @@ def test_criterion_2_core_closed_form(built):
         separator = cert.provenance["separator"]
         table = CosetTable(cert.approx.rank, separator["index"],
                            tuple(map(tuple, separator["images"])))
-        elements = image_group(table.inverses, table.size).elements
+        elements = [inverse(row) for row in image_group(table.inverses, table.size).rows]
         assert cert.approx.size == len(elements), r["fixture"]
         for image, g in zip(cert.approx.images, table.inverses):
             assert [elements[t] for t in image] == [compose(g, s) for s in elements]

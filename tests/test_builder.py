@@ -19,7 +19,6 @@ from soficert.builder import (
     _separating_quotient,
     approximate,
     finite_index_witness,
-    orbit_witness,
     pairwise_differences,
     restrict_certificate,
     separation_targets,
@@ -36,6 +35,7 @@ from soficert.certificate import (
 )
 from soficert.permutations import compose, inverse
 from soficert.quotients import (
+    DEFAULT_CORE_CAP,
     CoreTooLargeError,
     CosetTable,
     coset_of,
@@ -116,8 +116,8 @@ def test_core_rows_are_closed_form():
     # table.inverses[i] . s, and the row of s is s^-1 at every coset
     table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
     every_coset = list(range(table.size))
-    approx, wit = finite_index_witness(table, every_coset)
-    elements = image_group(table.inverses, table.size).elements
+    approx, wit = finite_index_witness("free", 2, table.inverses, every_coset, DEFAULT_CORE_CAP)
+    elements = [inverse(row) for row in image_group(table.inverses, table.size).rows]
     assert approx.size == len(elements) == len(wit.pi)
     assert wit.s_points == tuple(range(len(elements))) and wit.b_labels == tuple(every_coset)
     for image, g in zip(approx.images, table.inverses):
@@ -139,9 +139,10 @@ def test_literal_matches_core_rows():
     # the core carrier is a subgroup of Sym(G/K), so each of its points
     # must carry the literal row and phi target of the same permutation
     table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
-    approx, wit = finite_index_witness(table, list(range(table.size)))
+    approx, wit = finite_index_witness("free", 2, table.inverses, list(range(table.size)),
+                                       DEFAULT_CORE_CAP)
     carrier_lit, images_lit, pi_lit = literal_rows(table)
-    carrier_core = image_group(table.inverses, table.size).elements
+    carrier_core = [inverse(row) for row in image_group(table.inverses, table.size).rows]
     assert len(carrier_core) < len(carrier_lit)
     index = {p: i for i, p in enumerate(carrier_lit)}
     for j, s in enumerate(carrier_core):
@@ -151,25 +152,14 @@ def test_literal_matches_core_rows():
 
 
 def test_literal_pi_is_inverse_permutation():
-    # the coset permutations generate all of Sym(2), so the literal carrier
-    # is one orbit and the walk from its identity gives pi_s = s^-1, the
-    # rows of the core construction
+    # the coset permutations generate all of Sym(2), so the core carrier
+    # is the literal one, in the same order, and pi_s = s^-1
     table = hall_completion(core_graph([w2("a")], 2), [w2("b")])
     carrier, images, _ = literal_rows(table)
-    wit = orbit_witness(images, table.inverses, [0, 1])
+    approx, wit = finite_index_witness("free", 2, table.inverses, [0, 1], DEFAULT_CORE_CAP)
+    assert approx == SoficApproximation("free", 2, len(carrier), tuple(images))
     for j, s in enumerate(carrier):
         assert wit.pi[j] == inverse(s)
-    assert finite_index_witness(table, [0, 1]) == (
-        SoficApproximation("free", 2, len(carrier), tuple(images)),
-        wit,
-    )
-
-
-def test_orbit_witness_refuses_a_non_transitive_carrier():
-    # the carrier falls into the orbits {0, 1} and {2, 3}, so the walk
-    # from point 0 never fills point 2
-    with pytest.raises(AssertionError, match="carrier point 2 is not in the orbit of point 0"):
-        orbit_witness([(1, 0, 3, 2)], [(1, 0)], [0, 1])
 
 
 def test_lift_rejects_non_separating_table(monkeypatch):
@@ -222,11 +212,12 @@ def test_lift_uses_left_coset_labels():
 
 def test_biregular_small_quotient_route():
     # E = {1, a}: separating {a, A} through a Hall table gives the cyclic
-    # quotient of order 3, so the carrier is 3 x 3
+    # quotient of order 3, which is its own centre, so the carrier has
+    # 3 * 3 / 3 points
     cert = build(BiregularAction(2), [], ["", "a"])
     assert cert.provenance["strategy"] == "hall-core"
     assert cert.provenance["quotient"]["order"] == 3
-    assert cert.approx.size == 9
+    assert cert.approx.size == 3
     assert verify_certificate(cert).accepted
 
 
@@ -383,8 +374,9 @@ def test_single_factor_carrier_fails_for_nonabelian_quotient():
     # Taking the carrier to be one copy of Q with pi_s(x) = s^-1 q(x)
     # satisfies equivariance only when Q is abelian: the identity needs
     # k(s^-1 h^-1 q(x)) = (s^-1 h^-1 q(x))k for the right factor k.  On
-    # the S_3 quotient the verifier pinpoints the failure; the product
-    # carrier Q x Q (what the builder emits) is the fix.
+    # the S_3 quotient the verifier pinpoints the failure; the group that
+    # the left and right translations of Q generate (what the builder
+    # emits, here all of Q x Q since S_3 has a trivial centre) is the fix.
     good = approximate(BiregularAction(2), [DIAG[0], DIAG[1]],
                        [w2(t) for t in ("", "a", "b", "baB")])
     walks = [tuple(p) for p in good.provenance["quotient"]["walks"]]

@@ -1,20 +1,21 @@
-"""The closure that records its moves and the witness walk on prebuilt
-gathers, against the code they replaced.
+"""The closure that lists each element's witness row with its moves,
+against the code it replaced.
 
 The previous ``image_group`` and ``orbit_witness`` are kept below as
 references, with the ``compose`` they called; the closure reference
 steps over the given generators only and the witness reference walks
-one orbit from the identity row at point 0, as the routines do since
-every carrier is a finite group acting on itself.  The new closure
-must list the same elements in the same order, and each move row must
-be the generator composed after every element, so a carrier's own
-breadth-first walk from point 0 meets its points in index order.  The
-new walk must fill the same rows, at one label and on a one-label B
-too, where ``itemgetter`` cannot be used as a gather.  Both must do
-so on either side of the 256 points up to which they store
-permutations as bytes.  Building the 40 320-point aabb-f5 certificate
-must stay within a count of compositions, and verifying it must make
-exactly the count that its letters call for.
+one orbit from the identity row at point 0, as the builder did since
+every carrier is a finite group acting on itself.  The closure must
+list the inverses of the reference's elements in the same order, and
+each move row must be the generator composed after every element, so a
+carrier's own breadth-first walk from point 0 meets its points in index
+order.  ``finite_index_witness`` must then give the witness the walk
+gave, at one label and on a one-label B too, where ``itemgetter``
+cannot be used as a gather.  Both must do so on either side of the 256
+points up to which the closure stores rows as bytes.  Building the
+40 320-point aabb-f5 certificate must stay within a count of
+compositions, and verifying it must make exactly the count that its
+letters call for.
 """
 
 import random
@@ -30,7 +31,7 @@ import soficert.permutations as permutations
 import soficert.quotients as quotients
 import soficert.verifier as verifier
 from soficert.actions import CosetAction, act, canonical_point
-from soficert.builder import approximate, finite_index_witness, orbit_witness, separation_targets
+from soficert.builder import approximate, finite_index_witness, separation_targets
 from soficert.certificate import OrbitWitness
 from soficert.permutations import compose, identity_perm, inverse
 from soficert.quotients import (
@@ -109,19 +110,19 @@ def test_closure_matches_reference_and_moves_are_products(degree, data):
     perms = st.sampled_from(_dihedral(n)) if n > 7 else st.permutations(range(n))
     gens = [tuple(p) for p in data.draw(st.lists(perms, max_size=3))]
     group = image_group(gens, n)
-    assert list(group.elements) == _reference_image_group(gens, n)
-    assert len(group) == len(group.elements) == order_bound(gens, n)
+    elements = _reference_image_group(gens, n)
+    assert list(map(tuple, group.rows)) == [inverse(s) for s in elements]
+    assert len(group) == order_bound(gens, n)
     assert len(group.moves) == len(gens)
+    index = {s: i for i, s in enumerate(elements)}
     for gen, row in zip(gens, group.moves):
-        assert len(row) == len(group)
-        for i, u in enumerate(group.elements):
-            assert group.elements[row[i]] == compose(gen, u)
+        assert list(row) == [index[compose(gen, u)] for u in elements]
 
 
 def test_carrier_walk_meets_points_in_index_order():
     # the carrier is numbered by the closure under the maps phi(g_i), so
     # a breadth-first walk over phi's images from point 0, which is the
-    # walk orbit_witness makes, reaches 0, 1, ..., |A| - 1 in turn; the
+    # walk the previous witness routine made, reaches 0, 1, ..., |A| - 1; the
     # acceptance fixtures, then the 40320-point aabb-f5 bench job
     jobs = FIXTURES + [(2, ["aabb"], ["a", "b", "ab", "ba", "aB"], ["1", "a", "b"])]
     for rank, sub, F, E in jobs:
@@ -156,7 +157,7 @@ def test_core_build_reads_images_off_the_closure(monkeypatch):
 
     for module in (permutations, quotients, builder):
         monkeypatch.setattr(module, "compose", counted)
-    approx, witness = finite_index_witness(table, labels, DEFAULT_CORE_CAP)
+    approx, witness = finite_index_witness("free", 2, table.inverses, labels, DEFAULT_CORE_CAP)
     assert approx.size == len(witness.pi) == 40320
     assert 0 < calls < 10**4
 
@@ -197,33 +198,33 @@ def test_verify_composes_once_per_letter_after_the_first(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the witness walk
+# the witness
 
 
 @pytest.mark.parametrize("b_size, e_size",
                          [(1, 1), (3, 1), (4, 2), (5, 5), (256, 3), (256, 256), (257, 1), (257, 4)])
 @given(data=st.data())
 def test_orbit_witness_matches_per_step_compose(b_size, e_size, data):
-    # any B permutations will do: both walks start from the identity row
-    # at point 0, visit the points in the same order and apply the same
-    # products, consistent or not.  The first carrier generator is an
-    # n-cycle, so the carrier is one orbit.  Up to 256 labels a row is
-    # bytes and above it a tuple; the wide permutations are shuffled from
-    # a drawn seed, which takes a tenth of the time of drawing every swap
-    n = data.draw(st.integers(1, 8))
+    # the carrier is the group the B permutations generate, listed as the
+    # reference closure lists it, and pi is what the reference walk fills
+    # from the identity row at point 0.  Up to 256 labels a row is bytes
+    # and above it a tuple; there the B permutations are relabeled
+    # dihedral generators, shuffled from a drawn seed, so that the group
+    # stays small
     rank = data.draw(st.integers(1, 3))
     if b_size > 8:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        b_perm = lambda: tuple(rng.sample(range(b_size), b_size))
+        relabel = tuple(rng.sample(range(b_size), b_size))
+        b_perm = lambda: compose(compose(relabel, rng.choice(_dihedral(b_size))), inverse(relabel))
+        labels = rng.sample(range(b_size), e_size)
     else:
         b_perm = lambda: tuple(data.draw(st.permutations(range(b_size))))
-    order = data.draw(st.permutations(range(n)))
-    cycle = dict(zip(order, order[1:] + order[:1]))
-    images = [tuple(cycle[x] for x in range(n))]
-    images += [tuple(data.draw(st.permutations(range(n)))) for _ in range(rank - 1)]
+        labels = data.draw(st.permutations(range(b_size)))[:e_size]
     b_images = [b_perm() for _ in range(rank)]
-    labels = b_perm()[:e_size]
-    args = (images, b_images, labels)
-    built = orbit_witness(*args)
-    assert built == _reference_orbit_witness(*args)
+    approx, built = finite_index_witness("free", rank, b_images, labels, DEFAULT_CORE_CAP)
+    elements = _reference_image_group(b_images, b_size)
+    index = {s: i for i, s in enumerate(elements)}
+    assert approx.size == len(elements)
+    assert approx.images == tuple(tuple(index[compose(g, s)] for s in elements) for g in b_images)
+    assert built == _reference_orbit_witness(approx.images, b_images, labels)
     assert all(type(row) is tuple and len(row) == e_size for row in built.pi)

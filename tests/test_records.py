@@ -92,8 +92,8 @@ RECORDS = {
         ("action", "F", "E", "epsilon", "core_cap", "out")),
     "ImageGroup": (
         lambda: image_group([(1, 0)], 2),
-        r"ImageGroup(encoded=(b'\x00\x01', b'\x01\x00'), moves=((1, 0),))",
-        ("encoded", "moves")),
+        r"ImageGroup(rows=(b'\x00\x01', b'\x01\x00'), moves=((1, 0),))",
+        ("rows", "moves")),
 }
 
 
@@ -101,7 +101,7 @@ RECORDS = {
 def test_record_semantics(name):
     make, expected_repr, fields = RECORDS[name]
     record, twin = make(), make()
-    for cached in ("_steps", "inverses", "inverse_images", "elements"):  # not fields
+    for cached in ("_steps", "inverses", "inverse_images"):  # not fields
         getattr(record, cached, None)
     values = tuple(getattr(record, f) for f in fields)
     assert type(record).__name__ == name and repr(record) == expected_repr

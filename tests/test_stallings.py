@@ -419,6 +419,16 @@ def test_left_coset_label_is_inverse_walk():
         assert left_coset_of(table, w2(t)) == coset_of(table, invert(w2(t)))
 
 
+@pytest.mark.parametrize("label", [coset_of, left_coset_of])
+@pytest.mark.parametrize("text", ["a", "c", "1"])
+def test_coset_labels_refuse_a_word_of_another_rank(label, text):
+    # a rank-3 word on a rank-2 table: "a" would walk to a coset as if it
+    # were rank 2, and "c" has no image array to walk
+    table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
+    with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
+        label(table, parse_word(text, 3))
+
+
 def test_left_labels_separate_left_cosets():
     # u, v name the same left coset of K iff u^-1 v is in K
     table = hall_completion(core_graph([w2("a")], 2), [w2("b"), w2("B")])
