@@ -1,9 +1,10 @@
 """Walk the whole pipeline once, printing every intermediate object.
 
 The running example: the coset action of F_2 on cosets of H = <a>,
-with F = {a, b} and E = {H, bH}.  Stages: core graph, separation
-targets, Hall completion, permutation image group, the finished
-certificate, and the independent verifier's report.
+with F = {a, b} and E = {H, bH}.  Stages: core graph, the pairwise
+differences of E that the separator must avoid, Hall completion,
+permutation image group, the finished certificate, and the independent
+verifier's report.
 
 Usage: python3 scripts/demo_pipeline.py
 """
@@ -13,7 +14,7 @@ import json
 import math
 
 from soficert.actions import CosetAction
-from soficert.builder import approximate, separation_targets
+from soficert.builder import approximate, pairwise_differences
 from soficert.certificate import certificate_to_dict
 from soficert.quotients import coset_of, hall_completion, image_group
 from soficert.stallings import core_graph
@@ -35,17 +36,16 @@ def main() -> None:
     for u, letter, v in sorted(graph.edges):
         print(f"  {u} -{chr(96 + letter)}-> {v}")
 
-    print("\n== separation targets for E = {H, bH}, F = {a, b} ==")
-    t_avoid, t_contain = separation_targets(spec, F, E)
-    print(f"avoid   (must land off H): {[x.text() for x in t_avoid]}")
-    print(f"contain (must stay in H):  {[x.text() for x in t_contain]}")
+    print("\n== pairwise differences x^-1 y of E = {H, bH} ==")
+    avoid = pairwise_differences(E)
+    print(f"avoid (must land off the separator): {[x.text() for x in avoid]}")
 
     print("\n== Hall completion ==")
-    table = hall_completion(graph, t_avoid)
+    table = hall_completion(graph, avoid)
     print(f"separator index: {table.size}")
     for i, images in enumerate(table.images):
         print(f"  generator {chr(97 + i)}: {list(images)}")
-    for x in t_avoid:
+    for x in avoid:
         print(f"  coset of {x.text()!r}: {coset_of(table, x)} (nonzero = avoided)")
 
     print("\n== permutation image group ==")

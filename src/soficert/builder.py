@@ -23,9 +23,10 @@ closure's move rows.
   translations and by q -> q a^-1, and A is the group these generate,
   of order |Q|^2 / |Z(Q)|.
 
-Infinite-index coset actions reach the finite-index construction
-through a Hall completion that separates finitely many coset relations;
-E's points are then labeled by their left cosets of the completion.
+A coset action reaches the core construction in three steps: Hall
+completion of H's core graph away from the differences x^-1 y of E's
+points gives K >= H with E in distinct left cosets; each of the two
+facts is checked on the table; E's points are labeled by their cosets.
 
 The one size setting is ``core_cap``; the biregular quotient search is
 bounded by the constants below.  B is range(|B|), stored in a
@@ -43,10 +44,8 @@ from typing import Sequence
 from .actions import (
     ActionSpec,
     BiregularAction,
-    CosetAction,
     GroupElement,
     RestrictedAction,
-    act,
     action_to_json,
     apply_images,
     canonical_point,
@@ -66,7 +65,7 @@ from .quotients import (
     left_coset_of,
     order_bound,
 )
-from .stallings import StallingsGraph, core_graph
+from .stallings import core_graph
 from .words import Word, invert, multiply
 
 DEFAULT_EPSILON = Fraction(0)
@@ -82,7 +81,7 @@ QUOTIENT_SEARCH_MAX = 25_000
 
 
 class SeparatorInvalidError(ValueError):
-    """The supplied table does not separate the required words."""
+    """The separating table breaks a fact the certificate rests on."""
 
 
 class StageError(RuntimeError):
@@ -95,7 +94,7 @@ class StageError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# separation targets
+# the one construction and the quotients that feed it
 
 
 def pairwise_differences(points: Sequence[Word]) -> list[Word]:
@@ -111,62 +110,6 @@ def pairwise_differences(points: Sequence[Word]) -> list[Word]:
                     seen.add(w.letters)
                     out.append(w)
     return out
-
-
-def contains(graph: StallingsGraph, w: Word) -> bool:
-    """Subgroup membership: does ``w`` read a closed path at the basepoint?"""
-    if w.rank != graph.rank:
-        raise ValueError(f"word rank {w.rank} != graph rank {graph.rank}")
-    steps = graph._steps
-    state = 0
-    for l in w.letters:
-        state = steps.get((state, l))
-        if state is None:
-            return False
-    return state == 0
-
-
-def separation_targets(
-    spec: CosetAction, F: Sequence[Word], E: Sequence[Word]
-) -> tuple[list[Word], list[Word]]:
-    """Words a separating subgroup must avoid / contain.
-
-    T_avoid collects sigma(x)^-1 sigma(y) over distinct points of E (none
-    of which lie in H), T_contain collects sigma(alpha(g^-1)x)^-1 g^-1 sigma(x)
-    over F x E (all of which lie in H), each word once in the order first
-    met.  Both facts are asserted here; a failure would mean the coset
-    algebra itself is broken.
-    """
-    if not isinstance(spec, CosetAction):
-        raise TypeError("separation targets are defined for coset actions")
-    sigma = [canonical_point(spec, x) for x in E]
-    if len({w.letters for w in sigma}) != len(sigma):
-        raise ValueError("duplicate points in E")
-    graph = spec.graph
-    t_avoid = pairwise_differences(sigma)
-    for w in t_avoid:
-        if contains(graph, w):
-            raise AssertionError(
-                f"separation sanity violated: {w.text()} in H for distinct cosets"
-            )
-    t_contain: list[Word] = []
-    seen: set[tuple[int, ...]] = set()
-    for g in F:
-        for x in sigma:
-            y = act(spec, invert(g), x)
-            w = multiply(multiply(invert(y), invert(g)), x)
-            if not contains(graph, w):
-                raise AssertionError(
-                    f"separation sanity violated: {w.text()} escapes H"
-                )
-            if w.letters not in seen:
-                seen.add(w.letters)
-                t_contain.append(w)
-    return t_avoid, t_contain
-
-
-# ---------------------------------------------------------------------------
-# the one construction and the quotients that feed it
 
 
 def finite_index_witness(
@@ -387,46 +330,47 @@ def approximate(
 ) -> Certificate:
     """Build an exact certificate for (spec, F, E).
 
-    Coset actions run the separation pipeline (targets, Hall completion
-    checked against both halves of the targets, finite-index witness at
-    E's coset labels).  The biregular action is built on the group that
-    a finite quotient's two-sided translations generate.  Restricted
-    actions recurse into the inner action along the generator images
-    and pull phi back.
+    Coset actions take three steps: the Hall completion of H away from
+    E's pairwise differences, its two postconditions, and the
+    finite-index witness at E's left-coset labels.  The biregular action
+    is built on the group that a finite quotient's two-sided
+    translations generate.  Restricted actions recurse into the inner
+    action along the generator images, with E raw for the base action
+    to canonicalize, and pull phi back.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     for g in F:
         check_element(spec, g)
+    if isinstance(spec, RestrictedAction):
+        with _stage("restrict"):
+            inner_F = [apply_images(spec.images, g) for g in F]
+            inner = approximate(spec.inner, inner_F, E, epsilon, core_cap)
+            return restrict_certificate(inner, spec.images, list(F))
+
     with _stage("canonicalize"):
         points = [canonical_point(spec, x) for x in E]
         if len({p.letters for p in points}) != len(points):
             raise ValueError("duplicate points in E")
 
-    if isinstance(spec, RestrictedAction):
-        with _stage("restrict"):
-            inner_F = [apply_images(spec.images, g) for g in F]
-            inner = approximate(spec.inner, inner_F, points, epsilon, core_cap)
-            return restrict_certificate(inner, spec.images, list(F))
-
     if isinstance(spec, BiregularAction):
         with _stage("biregular"):
             return biregular_approximation(spec.rank, F, points, epsilon)
 
-    with _stage("separation_targets"):
-        t_avoid, t_contain = separation_targets(spec, list(F), points)
     with _stage("hall_completion"):
-        table = hall_completion(spec.graph, t_avoid)
-        for w in t_avoid:
-            if coset_of(table, w) == 0:
-                raise SeparatorInvalidError(f"table fails to avoid {w.text()!r}")
-        for w in t_contain:
-            if coset_of(table, w) != 0:
-                raise SeparatorInvalidError(f"table fails to contain {w.text()!r}")
-        # so x -> (left coset of x) is injective on E and equivariant
+        table = hall_completion(spec.graph, pairwise_differences(points))
+        # H <= K, so x -> xK is well defined on G/H and equivariant
+        for h in spec.subgroup:
+            if coset_of(table, h) != 0:
+                raise SeparatorInvalidError(f"table fails to contain {h.text()!r}")
+        # xK = yK exactly when x^-1 y is in K, so distinct labels make pi injective
         labels = [left_coset_of(table, x) for x in points]
-        if len(set(labels)) != len(labels):
-            raise AssertionError("separating table produced a label collision")
+        first: dict[int, Word] = {}
+        for x, label in zip(points, labels):
+            if label in first:
+                w = multiply(invert(first[label]), x)
+                raise SeparatorInvalidError(f"table fails to avoid {w.text()!r}")
+            first[label] = x
     with _stage("finite_index_witness"):
         approx, witness = finite_index_witness("free", table.rank, table.inverses, labels, core_cap)
     provenance = {

@@ -14,8 +14,8 @@ import time
 
 import pytest
 
-from soficert.actions import BiregularAction, CosetAction, RestrictedAction
-from soficert.builder import approximate, contains, restrict_certificate, separation_targets
+from soficert.actions import BiregularAction, CosetAction, RestrictedAction, canonical_point
+from soficert.builder import approximate, pairwise_differences, restrict_certificate
 from soficert.certificate import load_certificate
 from soficert.cli import main
 from soficert.harness import mutation_battery, oracle_agreement, oracle_cases
@@ -23,6 +23,8 @@ from soficert.permutations import compose, inverse
 from soficert.quotients import CosetTable, coset_of, hall_completion, image_group
 from soficert.stallings import core_graph
 from soficert.words import Word, parse_word
+from test_actions import contain_words
+from test_stallings import contains
 
 # rank, subgroup generators, F, E -- generator counts <= 3, word lengths
 # <= 6, |F| <= 4, |E| <= 4, over both rank-2 and rank-3 free groups
@@ -213,18 +215,26 @@ def test_criterion_6_mutation_kill_rate(built, tmp_path):
 
 
 def test_criterion_7_separation_target_sanity():
+    # the words a separator must avoid (pairwise differences of the
+    # canonical points) lie outside H, those it must contain (y^-1 g^-1 x
+    # with y = g^-1 . x) inside; the built separator table keeps both
     avoid_total = contain_total = 0
     for rank, sub, F, E in FIXTURES:
         gens = [parse_word(t, rank) for t in sub]
         spec = CosetAction(rank, tuple(gens))
         graph = core_graph(gens, rank)
-        t_avoid, t_contain = separation_targets(
-            spec, [parse_word(t, rank) for t in F], [parse_word(t, rank) for t in E]
-        )
+        F = [parse_word(t, rank) for t in F]
+        points = [canonical_point(spec, parse_word(t, rank)) for t in E]
+        t_avoid = pairwise_differences(points)
+        t_contain = contain_words(spec, F, points)
+        separator = approximate(spec, F, points).provenance["separator"]
+        table = CosetTable(rank, separator["index"], tuple(map(tuple, separator["images"])))
         for w in t_avoid:
             assert not contains(graph, w), (sub, w.text())
+            assert coset_of(table, w) != 0, (sub, w.text())
         for w in t_contain:
             assert contains(graph, w), (sub, w.text())
+            assert coset_of(table, w) == 0, (sub, w.text())
         avoid_total += len(t_avoid)
         contain_total += len(t_contain)
     assert avoid_total > 0 and contain_total > 0

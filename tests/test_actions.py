@@ -14,9 +14,11 @@ from soficert.actions import (
     element_invert,
     element_multiply,
 )
-from soficert.builder import contains, pairwise_differences, separation_targets
+from soficert.builder import StageError, approximate, pairwise_differences
+from soficert.quotients import hall_completion
 from soficert.stallings import core_graph
 from soficert.words import identity, invert, multiply, parse_word
+from test_stallings import contains
 
 
 def w2(t):
@@ -118,38 +120,55 @@ def test_element_algebra():
 
 
 # ---------------------------------------------------------------------------
-# separation targets (the finite word sets a separator must respect)
+# separation targets: the words a separating subgroup K >= H must avoid
+# (E's pairwise differences, the builder's Hall completion input) and
+# contain (built here only, as the builder needs just K >= H)
+
+
+def contain_words(spec, F, points):
+    """y^-1 g^-1 x over F x E with y = g^-1 . x, each word once in the
+    order first met.  Each lies in H, so every K >= H contains it."""
+    out = []
+    for g in F:
+        for x in points:
+            y = act(spec, invert(g), x)
+            word = multiply(multiply(invert(y), invert(g)), x)
+            if word not in out:
+                out.append(word)
+    return out
 
 
 def test_separation_targets_frozen():
-    avoid, contain = separation_targets(COSET, [w2("a"), w2("b")], [w2(""), w2("b")])
-    assert sorted(w.text() for w in avoid) == ["B", "b"]
-    assert sorted(w.text() for w in contain) == ["1", "A"]
+    points = [w2(""), w2("b")]
+    assert sorted(w.text() for w in pairwise_differences(points)) == ["B", "b"]
+    assert sorted(w.text() for w in contain_words(COSET, [w2("a"), w2("b")], points)) == ["1", "A"]
 
     trivial = CosetAction(2, ())
-    avoid, contain = separation_targets(trivial, [w2("a")], [w2(""), w2("a")])
+    avoid = pairwise_differences([canonical_point(trivial, w2(t)) for t in ("", "a")])
     assert sorted(w.text() for w in avoid) == ["A", "a"]
 
 
 def test_separation_targets_duplicate_points():
-    with pytest.raises(ValueError):
-        separation_targets(COSET, [w2("a")], [w2(""), w2("aa")])
+    # 1 and aa name the same coset of <a>; the build refuses E before
+    # any target is formed
+    with pytest.raises(StageError, match="duplicate points in E") as info:
+        approximate(COSET, [w2("a")], [w2(""), w2("aa")])
+    assert info.value.stage == "canonicalize"
 
 
 @given(st.lists(words(max_len=3), max_size=3), st.lists(words(max_len=3), min_size=1, max_size=3))
 def test_separation_targets_postconditions(f_words, e_words):
-    # external recheck of the two observations the builder relies on:
-    # avoid-words are never in H, contain-words always are
+    # external recheck of the two observations the coset build relies
+    # on: avoid-words are never in H, contain-words always are
     points = []
     for x in e_words:
         c = canonical_point(COSET, x)
         if all(c != p for p in points):
             points.append(c)
-    avoid, contain = separation_targets(COSET, f_words, points)
     graph = COSET.graph
-    for word in avoid:
+    for word in pairwise_differences(points):
         assert not contains(graph, word)
-    for word in contain:
+    for word in contain_words(COSET, f_words, points):
         assert contains(graph, word)
 
 
@@ -188,5 +207,7 @@ def test_pairwise_differences_in_first_seen_order():
     # x^-1 y repeats across pairs (1, a) and (a, aa); it is listed once
     repeated = [w2(t) for t in ("", "a", "aa")]
     assert [w.text() for w in pairwise_differences(repeated)] == ["a", "aa", "A", "AA"]
-    avoid, _ = separation_targets(COSET, [w2("a")], [w2(""), w2("b")])
-    assert avoid == pairwise_differences([w2(""), w2("b")])
+    # the coset build's separator is the Hall completion away from them
+    cert = approximate(COSET, [w2("a")], [w2(""), w2("b")])
+    table = hall_completion(COSET.graph, pairwise_differences([w2(""), w2("b")]))
+    assert cert.provenance["separator"]["images"] == [list(p) for p in table.images]

@@ -6,6 +6,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import soficert.actions as actions
+import soficert.builder as builder
 from soficert.actions import (
     BiregularAction,
     CosetAction,
@@ -21,7 +23,6 @@ from soficert.builder import (
     finite_index_witness,
     pairwise_differences,
     restrict_certificate,
-    separation_targets,
 )
 from soficert.certificate import (
     Certificate,
@@ -196,13 +197,38 @@ def test_lift_uses_left_coset_labels():
     # while the left-coset labels stay distinct; only the latter make the
     # lifted rows injective
     E = [canonical_point(COSET_A, w2(t)) for t in ("", "b", "ab")]
-    avoid, _ = separation_targets(COSET_A, F_AB, E)
-    table = hall_completion(COSET_A.graph, avoid)
+    table = hall_completion(COSET_A.graph, pairwise_differences(E))
     right = [coset_of(table, x) for x in E]
     left = [left_coset_of(table, x) for x in E]
     assert len(set(right)) < len(E)
     assert len(set(left)) == len(E)
     cert = approximate(COSET_A, F_AB, E)
+    assert verify_certificate(cert).accepted
+
+
+@pytest.mark.parametrize("spec, f_texts, e_texts", [
+    (CosetAction(2, (w2("aabb"),)), ["a", "b", "ab", "ba", "aB"], ["1", "a", "b"]),
+    (RestrictedAction(CosetAction(2, (w2("aa"),)), (w2("b"), w2("a"))), ["a", "b"],
+     ["1", "b", "ab"]),
+], ids=["aabb-f5", "restricted-over-coset"])
+def test_each_point_is_canonicalized_once(monkeypatch, spec, f_texts, e_texts):
+    # only the base action's canonicalize stage names E's points, once
+    # each; the Hall completion reads them as named and moves none.  Both
+    # bindings of ``act`` are counted, wherever the builder takes it from
+    calls = {"coset_canonical_word": 0, "act": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    canonical, act = actions.coset_canonical_word, actions.act
+    monkeypatch.setattr(actions, "coset_canonical_word", counted("coset_canonical_word", canonical))
+    for module in (actions, builder):
+        monkeypatch.setattr(module, "act", counted("act", act), raising=False)
+    cert = build(spec, f_texts, e_texts)
+    assert calls == {"coset_canonical_word": len(e_texts), "act": 0}
     assert verify_certificate(cert).accepted
 
 

@@ -31,7 +31,7 @@ import soficert.permutations as permutations
 import soficert.quotients as quotients
 import soficert.verifier as verifier
 from soficert.actions import CosetAction, act, canonical_point
-from soficert.builder import approximate, finite_index_witness, separation_targets
+from soficert.builder import approximate, finite_index_witness, pairwise_differences
 from soficert.certificate import OrbitWitness
 from soficert.permutations import compose, identity_perm, inverse
 from soficert.quotients import (
@@ -145,8 +145,7 @@ def test_core_build_reads_images_off_the_closure(monkeypatch):
     w = lambda t: parse_word(t, 2)
     spec = CosetAction(2, (w("aabb"),))
     points = [canonical_point(spec, w(t)) for t in ("1", "a", "b")]
-    avoid, _ = separation_targets(spec, [w(t) for t in ("a", "b", "ab", "ba", "aB")], points)
-    table = hall_completion(spec.graph, avoid)
+    table = hall_completion(spec.graph, pairwise_differences(points))
     labels = [left_coset_of(table, x) for x in points]
     calls = 0
 

@@ -191,7 +191,9 @@ def import_closure(stem):
     return closure
 
 
-# the builder's finite-quotient code, which lives in quotients.py and builder.py
+# the builder's finite-quotient code, which lives in quotients.py and
+# builder.py; no module under src/ defines separation_targets or
+# contains, and none of the trusted ones may
 BUILDER_ONLY = {"hall_completion", "CosetTable", "image_group", "ImageGroup", "order_bound",
                 "separation_targets", "pairwise_differences", "contains"}
 

@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from soficert import stallings
-from soficert.builder import contains
 from soficert.certificate import SoficApproximation
 from soficert.permutations import compose, inverse
 from soficert.quotients import (
@@ -26,6 +25,21 @@ from soficert.words import Word, free_reduce, identity, invert, multiply, parse_
 
 def w2(t):
     return parse_word(t, 2)
+
+
+def contains(graph, w):
+    """Subgroup membership: does ``w`` read a closed path at the basepoint?
+    The builder needs no membership test, since Hall completion refuses
+    an avoid word that lies in the subgroup; the tests use this one as an
+    oracle."""
+    if w.rank != graph.rank:
+        raise ValueError(f"word rank {w.rank} != graph rank {graph.rank}")
+    state = 0
+    for l in w.letters:
+        state = graph._steps.get((state, l))
+        if state is None:
+            return False
+    return state == 0
 
 
 # ---------------------------------------------------------------------------
