@@ -14,8 +14,7 @@ import json
 import math
 
 from soficert.actions import CosetAction
-from soficert.builder import approximate, pairwise_differences
-from soficert.certificate import certificate_to_dict
+from soficert.builder import approximate, certificate_to_dict, pairwise_differences
 from soficert.quotients import coset_of, hall_completion, image_group
 from soficert.stallings import core_graph
 from soficert.verifier import verify_certificate

@@ -178,22 +178,6 @@ def act(spec: ActionSpec, g: GroupElement, x: Word) -> Word:
 # JSON forms
 
 
-def action_to_json(spec: ActionSpec) -> dict:
-    if isinstance(spec, CosetAction):
-        return {
-            "kind": "coset",
-            "rank": spec.rank,
-            "subgroup": [w.text() for w in spec.subgroup],
-        }
-    if isinstance(spec, BiregularAction):
-        return {"kind": "biregular", "rank": spec.rank}
-    return {
-        "kind": "restricted",
-        "inner": action_to_json(spec.inner),
-        "images": [element_text(g) for g in spec.images],
-    }
-
-
 # deeper nesting is refused by the parser, before any recursion over the
 # levels can reach Python's stack limit
 MAX_NESTING = 64

@@ -1,4 +1,4 @@
-"""Certificate construction.
+"""Certificate construction, and the writer of certificate files.
 
 Every build here is exact: the produced map on generators extends to a
 genuine homomorphism into Sym(A), S is all of A, and the orbit witness
@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
+import os
 import reprlib
 from fractions import Fraction
 from typing import Sequence
@@ -44,12 +46,13 @@ from typing import Sequence
 from .actions import (
     ActionSpec,
     BiregularAction,
+    CosetAction,
     GroupElement,
     RestrictedAction,
-    action_to_json,
     apply_images,
     canonical_point,
     check_element,
+    element_text,
 )
 from .certificate import Certificate, OrbitWitness, SoficApproximation
 from .permutations import _gather, compose
@@ -392,15 +395,92 @@ def restrict_certificate(
     as every certificate built here is; otherwise it is only what the
     verifier makes of it.
     """
-    for g in images:
-        check_element(cert.action, g)
-    outer_rank = len(images)
-    for g in F:
-        if not isinstance(g, Word) or g.rank != outer_rank:
-            raise ValueError(f"expected rank-{outer_rank} words in F, got {g!r}")
-    arrays = tuple(cert.approx.permutation_of(g) for g in images)
-    approx = SoficApproximation("free", outer_rank, cert.approx.size, arrays)
     action = RestrictedAction(cert.action, tuple(images))
+    for g in F:
+        check_element(action, g)
+    arrays = tuple(cert.approx.permutation_of(g) for g in images)
+    approx = SoficApproximation("free", len(images), cert.approx.size, arrays)
     provenance = dict(cert.provenance)
     provenance["restricted_from"] = action_to_json(cert.action)["kind"]
     return Certificate(action, tuple(F), cert.E, cert.epsilon, approx, cert.witness, provenance)
+
+
+def action_to_json(spec: ActionSpec) -> dict:
+    if isinstance(spec, CosetAction):
+        return {
+            "kind": "coset",
+            "rank": spec.rank,
+            "subgroup": [w.text() for w in spec.subgroup],
+        }
+    if isinstance(spec, BiregularAction):
+        return {"kind": "biregular", "rank": spec.rank}
+    return {
+        "kind": "restricted",
+        "inner": action_to_json(spec.inner),
+        "images": [element_text(g) for g in spec.images],
+    }
+
+
+def _fields(cert: Certificate) -> dict:
+    """Every field of the file, its arrays the certificate's own tuples,
+    which ``json`` writes as it writes lists."""
+    return {
+        "action": action_to_json(cert.action),
+        "F": [element_text(g) for g in cert.F],
+        "E": [x.text() for x in cert.E],
+        "epsilon": str(cert.epsilon),
+        "carrier_size": cert.approx.size,
+        "generator_images": cert.approx.images,
+        "S": cert.witness.s_points,
+        "B": cert.witness.b_labels,
+        "pi": cert.witness.pi,
+        "provenance": dict(cert.provenance),
+    }
+
+
+def certificate_to_dict(cert: Certificate) -> dict:
+    """The file's JSON object, its arrays fresh lists that a caller may change."""
+    data = _fields(cert)
+    for key in ("S", "B"):
+        data[key] = list(data[key])
+    for key in ("generator_images", "pi"):
+        data[key] = [list(row) for row in data[key]]
+    return data
+
+
+def _create_beside(path: str) -> tuple[str, int]:
+    """A new file in ``path``'s directory, opened for writing, and its
+    name, which is short whatever the length of ``path``'s own name.  It
+    is created as ``open`` creates a file (mode 0o666 less the umask);
+    a name already taken is skipped."""
+    directory = os.path.dirname(path)
+    for n in itertools.count():
+        tmp = os.path.join(directory, f".soficert.tmp.{os.getpid()}.{n}")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+
+
+def write_certificate(cert: Certificate, path: str) -> None:
+    """Write one top-level key per line, in sorted order, each value in
+    compact JSON with sorted keys.  ``json.dumps`` runs CPython's C
+    encoder only without ``indent``; readers take any layout.  The data
+    is acyclic by construction, so the encoder skips its cycle check.
+    The file is written beside ``path`` and renamed over it; if the write
+    or the rename fails, the temporary file is removed and the error
+    raised."""
+    data = _fields(cert)
+    lines = (f"{json.dumps(key)}: "
+             f"{json.dumps(data[key], separators=(',', ':'), sort_keys=True, check_circular=False)}"
+             for key in sorted(data))
+    payload = "{\n" + ",\n".join(lines) + "\n}\n"
+    tmp, fd = _create_beside(path)
+    try:
+        with open(fd, "w") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -1,25 +1,23 @@
-"""The certificate: its data model and its file format.
+"""The certificate: its data model and its reader.
 
-The builder writes certificates and the verifier reads them through this
-module alone, so the verifier's trusted code does not include the
-builder.  Parsing checks the shape of every field; whether the arrays
-are permutations and pi is equivariant is left to the verifier.
+The reader and the README's format section define the file format.  The
+verifier reads certificates through this module alone; the writer lives
+in the builder, outside the verifier's trusted code.  Parsing checks the
+shape of every field and leaves permutations and equivariance to the verifier.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
-import os
 import re
 import reprlib
 from fractions import Fraction
 from functools import cached_property
 
 from .actions import (
-    BiregularAction, GroupElement, acting_rank, action_from_json, action_to_json,
-    canonical_point, element_text, parse_element, point_rank,
+    BiregularAction, GroupElement, acting_rank, action_from_json, canonical_point,
+    parse_element, point_rank,
 )
 from .permutations import compose, identity_perm, inverse
 from .words import Record, parse_word
@@ -92,76 +90,11 @@ class Certificate(Record):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the file format
 
 
 class CertificateFormatError(ValueError):
     """Schema-level problem in a certificate file; names the failing field."""
-
-
-def _fields(cert: Certificate) -> dict:
-    """Every field of the file, its arrays the certificate's own tuples,
-    which ``json`` writes as it writes lists."""
-    return {
-        "action": action_to_json(cert.action),
-        "F": [element_text(g) for g in cert.F],
-        "E": [x.text() for x in cert.E],
-        "epsilon": str(cert.epsilon),
-        "carrier_size": cert.approx.size,
-        "generator_images": cert.approx.images,
-        "S": cert.witness.s_points,
-        "B": cert.witness.b_labels,
-        "pi": cert.witness.pi,
-        "provenance": dict(cert.provenance),
-    }
-
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    """The file's JSON object, its arrays fresh lists that a caller may change."""
-    data = _fields(cert)
-    for key in ("S", "B"):
-        data[key] = list(data[key])
-    for key in ("generator_images", "pi"):
-        data[key] = [list(row) for row in data[key]]
-    return data
-
-
-def _create_beside(path: str) -> tuple[str, int]:
-    """A new file in ``path``'s directory, opened for writing, and its
-    name, which is short whatever the length of ``path``'s own name.  It
-    is created as ``open`` creates a file (mode 0o666 less the umask);
-    a name already taken is skipped."""
-    directory = os.path.dirname(path)
-    for n in itertools.count():
-        tmp = os.path.join(directory, f".soficert.tmp.{os.getpid()}.{n}")
-        try:
-            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except FileExistsError:
-            continue
-
-
-def write_certificate(cert: Certificate, path: str) -> None:
-    """Write one top-level key per line, in sorted order, each value in
-    compact JSON with sorted keys.  ``json.dumps`` runs CPython's C
-    encoder only without ``indent``; readers take any layout.  The data
-    is acyclic by construction, so the encoder skips its cycle check.
-    The file is written beside ``path`` and renamed over it; if the write
-    or the rename fails, the temporary file is removed and the error
-    raised."""
-    data = _fields(cert)
-    lines = (f"{json.dumps(key)}: "
-             f"{json.dumps(data[key], separators=(',', ':'), sort_keys=True, check_circular=False)}"
-             for key in sorted(data))
-    payload = "{\n" + ",\n".join(lines) + "\n}\n"
-    tmp, fd = _create_beside(path)
-    try:
-        with open(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
 
 
 # a zero denominator has no nonzero digit

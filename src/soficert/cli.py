@@ -30,7 +30,7 @@ from .actions import (
     parse_element,
     point_rank,
 )
-from .certificate import Certificate, CertificateFormatError, epsilon_from_json, write_certificate
+from .certificate import Certificate, CertificateFormatError, epsilon_from_json
 from .stallings import core_graph
 from .verifier import verify_certificate
 from .words import MAX_RANK, Record, Word, parse_word
@@ -115,6 +115,8 @@ def _summary(cert: Certificate, out: str | None) -> dict:
 def _write(cert: Certificate, out: str) -> bool:
     """Write the certificate to ``out``; an unwritable path is reported
     as a write error, with no partial file left behind."""
+    from .builder import write_certificate
+
     try:
         write_certificate(cert, out)
     except OSError as exc:

@@ -10,10 +10,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .actions import ActionSpec, BiregularAction, CosetAction, act, element_invert
-from .builder import approximate
+from .builder import approximate, certificate_to_dict
 from .certificate import (
-    Certificate, CertificateFormatError, OrbitWitness, SoficApproximation,
-    certificate_from_dict, certificate_to_dict,
+    Certificate, CertificateFormatError, OrbitWitness, SoficApproximation, certificate_from_dict,
 )
 from .verifier import check_orbit_witness, verify_certificate
 from .words import Word, parse_word

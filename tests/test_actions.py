@@ -9,12 +9,11 @@ from soficert.actions import (
     RestrictedAction,
     act,
     action_from_json,
-    action_to_json,
     canonical_point,
     element_invert,
     element_multiply,
 )
-from soficert.builder import StageError, approximate, pairwise_differences
+from soficert.builder import StageError, action_to_json, approximate, pairwise_differences
 from soficert.quotients import hall_completion
 from soficert.stallings import core_graph
 from soficert.words import identity, invert, multiply, parse_word

@@ -20,9 +20,11 @@ from soficert.builder import (
     StageError,
     _separating_quotient,
     approximate,
+    certificate_to_dict,
     finite_index_witness,
     pairwise_differences,
     restrict_certificate,
+    write_certificate,
 )
 from soficert.certificate import (
     Certificate,
@@ -30,9 +32,7 @@ from soficert.certificate import (
     OrbitWitness,
     SoficApproximation,
     certificate_from_dict,
-    certificate_to_dict,
     load_certificate,
-    write_certificate,
 )
 from soficert.permutations import compose, inverse
 from soficert.quotients import (
@@ -468,6 +468,14 @@ def test_restrict_without_builder_provenance_verifies():
         assert verify_certificate(restrict_certificate(stripped, images, F)).accepted
 
 
+def test_restrict_refuses_a_bad_image_or_a_wrong_rank_F_word():
+    cert = approximate(COSET_A, F_AB, [w2(""), w2("b")])
+    with pytest.raises(ValueError, match="rank-2 word"):
+        restrict_certificate(cert, [w2("a"), parse_word("a", 3)], F_AB)
+    with pytest.raises(ValueError, match="rank-2 word"):
+        restrict_certificate(cert, [w2("a"), w2("b")], [w2("a"), parse_word("c", 3)])
+
+
 def test_restricted_coset_action_pipeline():
     inner = CosetAction(2, (w2("a"),))
     spec = RestrictedAction(inner, (w2("ab"), w2("b")))
@@ -521,6 +529,36 @@ def test_round_trip_bytes(tmp_path):
     tagged = {**json.loads(text), "B": [[0, 0], [0, 1], [1, 0]]}
     with pytest.raises(CertificateFormatError, match=r"^B: label \[0, 0\] must be an integer$"):
         certificate_from_dict(tagged)
+
+
+def round_trips(cert, path) -> bool:
+    """Whether the reader gives ``cert`` back from the writer's dict form
+    and from the file the writer makes at ``path``."""
+    write_certificate(cert, str(path))
+    return certificate_from_dict(certificate_to_dict(cert)) == cert == load_certificate(str(path))
+
+
+@pytest.mark.parametrize("spec, F, e_texts", [
+    (COSET_A, F_AB, ["", "b", "ab"]),
+    (BiregularAction(2), list(DIAG), ["", "a", "b", "baB"]),
+    (CONJ, F_AB, ["", "a", "b", "baB"]),
+], ids=["coset", "biregular", "restricted"])
+def test_writer_and_reader_round_trip(tmp_path, spec, F, e_texts):
+    assert round_trips(approximate(spec, F, [w2(t) for t in e_texts]), tmp_path / "cert.json")
+
+
+SHORT_WORDS = ["a", "b", "A", "B", "aa", "ab", "aB", "ba", "bb", "bA"]
+
+
+@given(st.lists(st.sampled_from(SHORT_WORDS), max_size=2),
+       st.lists(st.sampled_from(SHORT_WORDS), min_size=1, max_size=3),
+       st.lists(st.sampled_from("abAB"), max_size=2))
+def test_small_coset_certificates_round_trip(tmp_path_factory, sub, f_texts, e_texts):
+    # E is 1 and up to two letters, each point once, as in the sweep
+    spec = CosetAction(2, tuple(map(w2, sub)))
+    E = list(dict.fromkeys(canonical_point(spec, w2(t)) for t in [""] + e_texts))
+    cert = approximate(spec, list(map(w2, f_texts)), E)
+    assert round_trips(cert, tmp_path_factory.mktemp("round-trip") / "cert.json")
 
 
 def test_written_layout_is_one_key_per_line(tmp_path):

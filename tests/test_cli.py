@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from soficert import cli
-from soficert.certificate import certificate_from_dict, write_certificate
+from soficert.builder import approximate, write_certificate
+from soficert.certificate import certificate_from_dict
 from soficert.cli import SUBCOMMANDS, build_parser, job_from_dict, main
 from soficert.harness import oracle_agreement, oracle_cases
+from test_builder import round_trips
 
 COSET_JOB = {
     "action": {"kind": "coset", "rank": 2, "subgroup": ["a"]},
@@ -719,7 +721,7 @@ def test_module_entry_point_reads_sys_argv_like_main(monkeypatch, capsys, argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == outcome(main, argv, capsys)
 
 
-@pytest.mark.parametrize("script", ["demo_pipeline.py", "separator_growth.py"])
+@pytest.mark.parametrize("script", ["demo_pipeline.py"])
 def test_script_runs(script):
     proc = run_python(str(ROOT / "scripts" / script))
     assert proc.returncode == 0, proc.stderr
@@ -883,6 +885,14 @@ def test_large_carrier_bytes_are_pinned(tmp_path):
 def test_bench_certificate_bytes_are_pinned(tmp_path):
     for job, shas in PINNED_BENCH:
         assert built_shas(tmp_path, job) == shas, job["action"]
+
+
+def test_bench_certificates_round_trip(tmp_path):
+    # the writer and the reader agree on every pinned bench certificate
+    for data, _ in PINNED_BENCH:
+        job = job_from_dict(data)
+        cert = approximate(job.action, job.F, job.E, job.epsilon, job.core_cap)
+        assert round_trips(cert, tmp_path / "cert.json"), data["action"]
 
 
 # ---------------------------------------------------------------------------

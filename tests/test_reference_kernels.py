@@ -40,7 +40,7 @@ from soficert.actions import (
     parse_element,
     point_rank,
 )
-from soficert.builder import approximate
+from soficert.builder import approximate, certificate_to_dict
 from soficert.certificate import (
     Certificate,
     CertificateFormatError,
@@ -48,7 +48,6 @@ from soficert.certificate import (
     SoficApproximation,
     _expect,
     certificate_from_dict,
-    certificate_to_dict,
     epsilon_from_json,
 )
 from soficert.permutations import identity_perm, inverse

@@ -8,12 +8,11 @@ from hypothesis import given
 from soficert.actions import (
     BiregularAction, CosetAction, RestrictedAction, act, element_invert, element_text,
 )
-from soficert.builder import approximate
+from soficert.builder import approximate, certificate_to_dict
 from soficert.certificate import (
     CertificateFormatError,
     SoficApproximation,
     certificate_from_dict,
-    certificate_to_dict,
 )
 from soficert.harness import MUTATION_KINDS, brute_force_witness, mutate_certificate
 from soficert.verifier import (
