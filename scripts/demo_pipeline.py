@@ -3,8 +3,8 @@
 The running example: the coset action of F_2 on cosets of H = <a>,
 with F = {a, b} and E = {H, bH}.  Stages: core graph, the pairwise
 differences of E that the separator must avoid, Hall completion,
-permutation image group, the finished certificate, and the independent
-verifier's report.
+permutation image group with its stabilizer chain and rung sizes, the
+finished certificate, and the independent verifier's report.
 
 Usage: python3 scripts/demo_pipeline.py
 """
@@ -15,7 +15,7 @@ import math
 
 from soficert.actions import CosetAction
 from soficert.builder import approximate, certificate_to_dict, pairwise_differences
-from soficert.quotients import coset_of, hall_completion, image_group
+from soficert.quotients import coset_of, hall_completion, image_group, stabilizer_chain
 from soficert.stallings import core_graph
 from soficert.verifier import verify_certificate
 from soficert.words import parse_word
@@ -48,7 +48,12 @@ def main() -> None:
         print(f"  coset of {x.text()!r}: {coset_of(table, x)} (nonzero = avoided)")
 
     print("\n== permutation image group ==")
-    group = image_group(table.inverses, table.size)
+    base, orbits = stabilizer_chain(table.inverses, table.size)
+    rungs = [math.prod(orbits[:k]) for k in range(1, len(orbits) + 1)]
+    print(f"stabilizer chain base: {list(base)}, basic orbit lengths: {list(orbits)}")
+    print(f"rung sizes: {rungs} (rung k acts on the orbit of the first k base points; "
+          f"the last is the group acting on itself)")
+    group = image_group(table.inverses, table.size, order=rungs[-1])
     print(f"closure size: {len(group)} (vs |Sym({table.size})| = {math.factorial(table.size)})")
 
     print("\n== certificate ==")

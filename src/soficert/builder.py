@@ -5,32 +5,35 @@ genuine homomorphism into Sym(A), S is all of A, and the orbit witness
 satisfies its equivariance equalities on the nose, so the claimed
 epsilon is always 0.
 
-Each construction is a finite group acting on itself by left
-composition, and one routine, :func:`finite_index_witness`, builds phi
-and pi for all of them from the generators' permutations g_B of the
-label set B.  The carrier is the group the g_B generate, its point 0
-the identity with the identity row; row(phi(g)s) = row(s) . g_B^-1
-makes the row of s its inverse, which the closure that lists the group
+Each construction starts from a finite group Q, the group that the
+generators' permutations g_B of a label set B generate, and one
+routine, :func:`finite_index_witness`, builds phi and pi from the g_B.
+Q acting on itself by left composition always carries a witness: its
+point 0 is the identity with the identity row; row(phi(g)s) = row(s) .
+g_B^-1 makes the row of s its inverse, which the closure that lists Q
 stores, and pi keeps the columns at E's labels.  phi is read off the
-closure's move rows.
+closure's move rows.  A coset job first tries the smaller actions of Q
+on the orbits of its stabilizer chain's base prefixes, smallest first,
+and takes the first on which a union-find witness exists.
 
-* core — for a separating table K of index n (left cosets labeled as in
-  :mod:`soficert.quotients`), B is the n cosets and g_B the permutation
-  by which g left-multiplies them; A is the group Q they generate, the
-  quotient by the normal core of K.
-* biregular — G x G acting on G, for a finite quotient Q in which the
+* core -- for a separating table K of index n (left cosets labeled as
+  in :mod:`soficert.quotients`), B is the n cosets and g_B the
+  permutation by which g left-multiplies them; Q is the quotient by the
+  normal core of K, and the carrier is the least rung of Q that carries
+  a witness.
+* biregular -- G x G acting on G, for a finite quotient Q in which the
   pairwise point differences survive: B is Q, moved by left
   translations and by q -> q a^-1, and A is the group these generate,
-  of order |Q|^2 / |Z(Q)|.
+  of order |Q|^2 / |Z(Q)|, acting on itself.
 
 A coset action reaches the core construction in three steps: Hall
 completion of H's core graph away from the differences x^-1 y of E's
 points gives K >= H with E in distinct left cosets; each of the two
 facts is checked on the table; E's points are labeled by their cosets.
 
-The one size setting is ``core_cap``; the biregular quotient search is
-bounded by the constants below.  B is range(|B|), stored in a
-certificate file as distinct integers.
+The one size setting is ``core_cap``, a bound on |Q|; the biregular
+quotient search is bounded by the constants below.  B is range(|B|),
+stored in a certificate file as distinct integers.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 import reprlib
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .actions import (
     ActionSpec,
@@ -49,9 +53,11 @@ from .actions import (
     CosetAction,
     GroupElement,
     RestrictedAction,
+    act,
     apply_images,
     canonical_point,
     check_element,
+    element_invert,
     element_text,
 )
 from .certificate import Certificate, OrbitWitness, SoficApproximation
@@ -61,7 +67,9 @@ from .quotients import (
     CoreTooLargeError,
     CosetTable,
     ImageGroup,
+    base_orbit,
     byte_table,
+    capped_chain,
     coset_of,
     hall_completion,
     image_group,
@@ -99,6 +107,9 @@ class StageError(RuntimeError):
 # ---------------------------------------------------------------------------
 # the one construction and the quotients that feed it
 
+# each g in F with the column pairs (i, j) where g^-1 . E[i] = E[j]
+ColumnPairs = list[tuple[GroupElement, list[tuple[int, int]]]]
+
 
 def pairwise_differences(points: Sequence[Word]) -> list[Word]:
     """x^-1 y over ordered pairs of distinct points, each word once, in the
@@ -116,23 +127,90 @@ def pairwise_differences(points: Sequence[Word]) -> list[Word]:
 
 
 def finite_index_witness(
-    kind: str, rank: int, b_moves: Sequence[Sequence[int]], labels: Sequence[int], cap: int
+    kind: str, rank: int, b_moves: Sequence[Sequence[int]], labels: Sequence[int], cap: int,
+    columns: Callable[[], ColumnPairs] | None = None,
 ) -> tuple[SoficApproximation, OrbitWitness]:
     """Exact approximation of a finite group acting on itself, with its
-    witness at the B labels ``labels``.
+    witness at the B labels ``labels``, or on a smaller orbit of it when
+    ``columns`` is given and that orbit carries a witness.
 
     ``b_moves`` are the generators' permutations of B = range(|B|), in
-    the order of ``kind``'s generator images.  A is the group they
-    generate, acting on itself by left composition, so phi is the
-    closure's move rows.  The point 0 is the identity with the identity
-    row, and row(phi(g)s) = row(s) . g_B^-1 makes the row of s its
-    inverse, which the closure lists: pi keeps its entries at ``labels``.
+    the order of ``kind``'s generator images, and the group Q they
+    generate is sized by one stabilizer chain, refused above ``cap``.
+    Acting on itself by left composition, Q's phi is the closure's move
+    rows.  The point 0 is the identity with the identity row, and
+    row(phi(g)s) = row(s) . g_B^-1 makes the row of s its inverse, which
+    the closure lists: pi keeps its entries at ``labels``.
+
+    ``columns`` gives, for each g in F, g and its column pairs (i, j)
+    with g^-1 . E[i] = E[j].  It is called once, and only when the chain
+    has more than one level.  Then rung k, Q acting on the orbit of the
+    base prefix (b_1, ..., b_k), is tried for k = 1, 2, ... below the
+    last level, and the first one on which :func:`class_witness` finds a
+    witness is the carrier; the last rung is Q acting on itself.
     """
     degree = len(b_moves[0])
-    group = image_group(b_moves, degree, cap)
+    base, orbits = capped_chain(b_moves, degree, cap)
+    if columns is not None and len(orbits) > 1:
+        pairs = columns()
+        for k in range(1, len(orbits)):
+            size = math.prod(orbits[:k])
+            moves = base_orbit(b_moves, degree, base[:k], size)
+            approx = SoficApproximation(kind, rank, size, moves)
+            witness = class_witness(approx, pairs, len(labels))
+            if witness is not None:
+                return approx, witness
+    group = image_group(b_moves, degree, order=math.prod(orbits))
     approx = SoficApproximation(kind, rank, len(group), group.moves)
     pi = tuple(map(_gather(labels), group.rows))
     return approx, OrbitWitness(tuple(range(len(pi))), tuple(range(degree)), pi)
+
+
+def class_witness(
+    approx: SoficApproximation, columns: ColumnPairs, width: int
+) -> OrbitWitness | None:
+    """The exact witness on S = A whose labels are the classes of cells
+    (s, i), for s in A and i < ``width``, under (phi(g)s, i) ~ (s, j) for
+    each g and column pair (i, j) of ``columns``; None when a class holds
+    two cells of one row.  Any exact witness is constant on each class,
+    so then none exists (union-find: Tarjan, JACM 22, 1975).  Classes
+    are numbered in the order their first cells come, row by row."""
+    size = approx.size
+    parent = list(range(size * width))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for g, pairs in columns:
+        perm = approx.permutation_of(g)
+        for i, j in pairs:
+            for s, t in enumerate(perm):
+                a, b = find(t * width + i), find(s * width + j)
+                if a != b:
+                    parent[a] = b
+    number: dict[int, int] = {}
+    pi = []
+    for s in range(size):
+        row = tuple(number.setdefault(find(c), len(number))
+                    for c in range(s * width, s * width + width))
+        if len(set(row)) < width:
+            return None
+        pi.append(row)
+    return OrbitWitness(tuple(range(size)), tuple(range(len(number))), tuple(pi))
+
+
+def column_pairs(spec: ActionSpec, F: Sequence[GroupElement], E: Sequence[Word]) -> ColumnPairs:
+    """Each g in F with the pairs (i, j) where g^-1 . E[i] is E[j], decided
+    as the verifier decides it: by the canonical point ``act`` names."""
+    e_index = {x.letters: j for j, x in enumerate(E)}
+    out = []
+    for g in F:
+        g_inv = element_invert(g)
+        moved = (e_index.get(act(spec, g_inv, x).letters) for x in E)
+        out.append((g, [(i, j) for i, j in enumerate(moved) if j is not None]))
+    return out
 
 
 def _separating_quotient(
@@ -375,7 +453,8 @@ def approximate(
                 raise SeparatorInvalidError(f"table fails to avoid {w.text()!r}")
             first[label] = x
     with _stage("finite_index_witness"):
-        approx, witness = finite_index_witness("free", table.rank, table.inverses, labels, core_cap)
+        approx, witness = finite_index_witness("free", table.rank, table.inverses, labels, core_cap,
+                                               lambda: column_pairs(spec, F, points))
     provenance = {
         "builder": "exact-homomorphism",
         "requested_epsilon": str(epsilon),
@@ -391,9 +470,13 @@ def restrict_certificate(
     """Pull a certificate back along generator j -> images[j].
 
     phi becomes phi . image on each outer generator; the witness is
-    unchanged.  The result is exact when the base phi is a homomorphism,
-    as every certificate built here is; otherwise it is only what the
-    verifier makes of it.
+    unchanged.  The base phi must be a homomorphism, as every certificate
+    built here is, and its witness must be equivariant along the image
+    of each element of ``F``.  A witness on a group acting on itself is
+    equivariant along all of G, but one on a lower rung only along the F
+    it was built for; ``approximate`` builds the inner job on the images
+    of F, so its pull-back is exact.  Otherwise the result is only what
+    the verifier makes of it.
     """
     action = RestrictedAction(cert.action, tuple(images))
     for g in F:

@@ -5,12 +5,13 @@ Spelling a finite "avoid" set onto a folded core graph (see
 every partial letter map to a permutation yields a finite-index
 overgroup that still excludes every avoid word: Hall completion, the
 separating-subgroup constructor of the builder.  The permutation group
-that such a coset table generates is sized by a Schreier-Sims chain and
-listed by a breadth-first closure, which stores each element s as s^-1,
-the witness row of s when the group acts on itself, and records the
-index of every product it forms.  The verifier imports none of this
-module: a certificate names its points by core graphs and canonical
-coset words alone.
+that such a coset table generates is sized by one Schreier-Sims chain,
+whose base points and basic orbit lengths also size each orbit of a base
+prefix.  One breadth-first closure lists such an orbit, or the group
+itself, storing each element s as s^-1, the witness row of s when the
+group acts on itself, and records the index of every product it forms.
+The verifier imports none of this module: a certificate names its
+points by core graphs and canonical coset words alone.
 
 Conventions:
 
@@ -31,7 +32,8 @@ is not tracked by the garbage collector.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
+from operator import methodcaller
 from typing import Sequence
 
 from .permutations import _gather, compose, identity_perm, inverse, is_permutation
@@ -102,22 +104,23 @@ def _sift(levels: list[_Level], g: tuple[int, ...], start: int) -> tuple[tuple[i
     return g, len(levels)
 
 
-def order_bound(generators: Sequence[Sequence[int]], degree: int, cap: int | None = None) -> int:
-    """Order of the group generated by ``generators`` on ``degree`` points.
+def stabilizer_chain(
+    generators: Sequence[Sequence[int]], degree: int, cap: int | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Base points and basic orbit lengths of a stabilizer chain of the
+    group generated by ``generators`` on ``degree`` points.
 
-    Builds a stabilizer chain by the deterministic incremental
-    Schreier-Sims algorithm (Seress, *Permutation Group Algorithms*,
-    2003, section 4.2).  Every strong generator is a product of the
-    inputs, so the product of the basic orbit lengths of any partial
-    chain is a lower bound on the order, and the finished chain gives
-    the order exactly.  With a ``cap``, the first bound above it is
-    returned without finishing the chain.
+    Builds the chain by the deterministic incremental Schreier-Sims
+    algorithm (Seress, *Permutation Group Algorithms*, 2003, section
+    4.2).  Every strong generator is a product of the inputs, so the
+    product of the basic orbit lengths of any partial chain is a lower
+    bound on the order, and the finished chain gives the order exactly.
+    With a ``cap``, the chain is returned at the first bound above it.
+    On a finished chain the orbit of the base prefix (b_1, ..., b_k) has
+    exactly the product of the first k lengths as its size.
     """
     identity = identity_perm(degree)
     levels: list[_Level] = []
-
-    def bound() -> int:
-        return math.prod(len(level.orbit) for level in levels)
 
     def install(residue: tuple[int, ...], low: int, high: int) -> bool:
         """Add ``residue`` to levels low..high (a new last level if high is
@@ -127,12 +130,15 @@ def order_bound(generators: Sequence[Sequence[int]], degree: int, cap: int | Non
             levels.append(_Level(moved, identity))
         for level in levels[low:high + 1]:
             level.add(residue)
-        return cap is not None and bound() > cap
+        return cap is not None and math.prod(len(level.orbit) for level in levels) > cap
+
+    def chain() -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(level.point for level in levels), tuple(len(level.orbit) for level in levels)
 
     for g in generators:
         residue, j = _sift(levels, tuple(g), 0)
         if residue != identity and install(residue, 0, j):
-            return bound()
+            return chain()
     i = len(levels) - 1
     while i >= 0:
         level = levels[i]
@@ -147,13 +153,34 @@ def order_bound(generators: Sequence[Sequence[int]], degree: int, cap: int | Non
                 residue, j = _sift(levels, schreier, i + 1)
                 if residue != identity:
                     if install(residue, i + 1, j):
-                        return bound()
+                        return chain()
                     jump = j
                     break
             if jump is not None:
                 break
         i = i - 1 if jump is None else jump
-    return bound()
+    return chain()
+
+
+def order_bound(generators: Sequence[Sequence[int]], degree: int, cap: int | None = None) -> int:
+    """Order of the group generated by ``generators`` on ``degree`` points:
+    the product of its stabilizer chain's basic orbit lengths, with a
+    ``cap`` the first lower bound above it."""
+    return math.prod(stabilizer_chain(generators, degree, cap)[1])
+
+
+def capped_chain(
+    generators: Sequence[Sequence[int]], degree: int, cap: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The stabilizer chain of a group of order at most ``cap``; a larger
+    group is refused before any of its elements is listed."""
+    base, orbits = stabilizer_chain(generators, degree, cap)
+    order = math.prod(orbits)
+    if order > cap:
+        raise CoreTooLargeError(
+            f"image group exceeds cap {cap} on {degree} points (order at least {order})"
+        )
+    return base, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +270,33 @@ class ImageGroup(Record):
         return len(self.rows)
 
 
+def _closure(first, steps, tail, size: int) -> tuple[list, tuple[tuple[int, ...], ...]]:
+    """The breadth-first closure of ``first`` under ``steps``: the points in
+    the order it discovers them, which must be ``size`` many, and
+    ``moves[k][i]``, the index of the point that step k makes of point
+    i.  A step is applied to a point padded with ``tail``."""
+    index = {first: 0}
+    points = [first]
+    moves: list[list[int]] = [[] for _ in steps]
+    find, discover = index.get, points.append
+    records = [(step, move.append) for step, move in zip(steps, moves)]
+    for point in points:  # the list grows while it is walked
+        table = point + tail
+        for step, record in records:
+            v = step(table)
+            i = find(v)
+            if i is None:
+                i = index[v] = len(points)
+                discover(v)
+            record(i)
+    if len(points) != size:
+        raise AssertionError(f"closure has {len(points)} points, stabilizer chain {size}")
+    return points, tuple(map(tuple, moves))
+
+
 def image_group(
-    generators: Sequence[Sequence[int]], degree: int, cap: int = DEFAULT_CORE_CAP
+    generators: Sequence[Sequence[int]], degree: int, cap: int = DEFAULT_CORE_CAP,
+    order: int | None = None,
 ) -> ImageGroup:
     """The permutation group generated by ``generators`` on ``degree``
     points, its elements in the order a breadth-first closure from the
@@ -252,37 +304,37 @@ def image_group(
     The closure takes no inverse: g^-1 is a power of g in a finite group.
 
     The group is sized by a Schreier-Sims chain first; one of order
-    above ``cap`` is refused before any element is listed.  The closure
-    stores each element s as its row s^-1 and steps row(p . s) =
-    row(s) . p^-1.  On at most ``BYTES_DEGREE_MAX`` points that is
-    ``bytes(p^-1).translate`` of the row padded to a byte table; above,
-    one gather through p^-1.
+    above ``cap`` is refused before any element is listed.  ``order`` is
+    the group's order when the caller has sized it already; it is then
+    not sized again.  The closure stores each element s as its row s^-1
+    and steps row(p . s) = row(s) . p^-1.  On at most
+    ``BYTES_DEGREE_MAX`` points that is ``bytes(p^-1).translate`` of the
+    row padded to a byte table; above, one gather through p^-1.
     """
-    order = order_bound(generators, degree, cap)
-    if order > cap:
-        raise CoreTooLargeError(
-            f"image group exceeds cap {cap} on {degree} points (order at least {order})"
-        )
+    if order is None:
+        order = math.prod(capped_chain(generators, degree, cap)[1])
     if degree <= BYTES_DEGREE_MAX:
         first, tail = bytes(range(degree)), bytes(range(degree, 256))
         steps = [bytes(inverse(p)).translate for p in generators]
     else:
         first, tail = identity_perm(degree), ()
         steps = [_gather(inverse(p)) for p in generators]
-    index = {first: 0}
-    rows = [first]
-    moves: list[list[int]] = [[] for _ in steps]
-    find, discover = index.get, rows.append
-    records = [(step, move.append) for step, move in zip(steps, moves)]
-    for row in rows:  # the list grows while it is walked
-        table = row + tail
-        for step, record in records:
-            v = step(table)
-            i = find(v)
-            if i is None:
-                i = index[v] = len(rows)
-                discover(v)
-            record(i)
-    if len(rows) != order:
-        raise AssertionError(f"closure has {len(rows)} elements, stabilizer chain {order}")
-    return ImageGroup(tuple(rows), tuple(map(tuple, moves)))
+    rows, moves = _closure(first, steps, tail, order)
+    return ImageGroup(tuple(rows), moves)
+
+
+def base_orbit(
+    generators: Sequence[Sequence[int]], degree: int, base: Sequence[int], size: int
+) -> tuple[tuple[int, ...], ...]:
+    """The group generated by ``generators`` acting on the orbit of the
+    point tuple ``base``, which has ``size`` tuples: the move rows of the
+    closure from ``base``, each tuple p . u stepped as the images of u's
+    points.  On at most ``BYTES_DEGREE_MAX`` points a tuple is bytes and
+    a step one ``translate`` through the generator's byte table."""
+    if degree <= BYTES_DEGREE_MAX:
+        first, tail = bytes(base), b""
+        steps = [methodcaller("translate", byte_table(p)) for p in generators]
+    else:
+        first, tail = tuple(base), ()
+        steps = [partial(compose, p) for p in generators]
+    return _closure(first, steps, tail, size)[1]

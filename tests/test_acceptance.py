@@ -15,12 +15,16 @@ import time
 import pytest
 
 from soficert.actions import BiregularAction, CosetAction, RestrictedAction, canonical_point
-from soficert.builder import approximate, pairwise_differences, restrict_certificate
+from soficert.builder import (
+    approximate, finite_index_witness, pairwise_differences, restrict_certificate,
+)
 from soficert.certificate import load_certificate
 from soficert.cli import main
 from soficert.harness import mutation_battery, oracle_agreement, oracle_cases
 from soficert.permutations import compose, inverse
-from soficert.quotients import CosetTable, coset_of, hall_completion, image_group
+from soficert.quotients import (
+    DEFAULT_CORE_CAP, CosetTable, coset_of, hall_completion, image_group, stabilizer_chain,
+)
 from soficert.stallings import core_graph
 from soficert.words import Word, parse_word
 from test_actions import contain_words
@@ -101,19 +105,26 @@ def test_criterion_1_exactness_suite(built):
 
 
 def test_criterion_2_core_closed_form(built):
-    # each certificate from criterion 1, read against its separator's
-    # table and the image group it generates, not against the witness walk
+    # the regular construction on each separator from criterion 1, read
+    # against the table and the image group it generates, not against
+    # the witness walk; each certificate's carrier is a rung of that
+    # group, and is the regular one itself when the chain has one level
     for r in built["results"]:
         cert = load_certificate(r["cert_path"])
         separator = cert.provenance["separator"]
         table = CosetTable(cert.approx.rank, separator["index"],
                            tuple(map(tuple, separator["images"])))
-        elements = [inverse(row) for row in image_group(table.inverses, table.size).rows]
-        assert cert.approx.size == len(elements), r["fixture"]
-        for image, g in zip(cert.approx.images, table.inverses):
-            assert [elements[t] for t in image] == [compose(g, s) for s in elements]
         labels = cert.provenance["point_labels"]
-        assert list(cert.witness.pi) == [tuple(inverse(s)[c] for c in labels) for s in elements]
+        approx, witness = finite_index_witness("free", table.rank, table.inverses, labels,
+                                               DEFAULT_CORE_CAP)
+        elements = [inverse(row) for row in image_group(table.inverses, table.size).rows]
+        assert approx.size == len(elements), r["fixture"]
+        for image, g in zip(approx.images, table.inverses):
+            assert [elements[t] for t in image] == [compose(g, s) for s in elements]
+        assert list(witness.pi) == [tuple(inverse(s)[c] for c in labels) for s in elements]
+        assert len(elements) % cert.approx.size == 0, r["fixture"]
+        if len(stabilizer_chain(table.inverses, table.size)[1]) == 1:
+            assert (cert.approx, cert.witness) == (approx, witness), r["fixture"]
     print(f"criterion 2: PASS -- {len(built['results'])} certificates in closed form")
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import soficert.actions as actions
 import soficert.builder as builder
+import soficert.quotients as quotients
 from soficert.actions import (
     BiregularAction,
     CosetAction,
@@ -206,15 +207,20 @@ def test_lift_uses_left_coset_labels():
     assert verify_certificate(cert).accepted
 
 
-@pytest.mark.parametrize("spec, f_texts, e_texts", [
-    (CosetAction(2, (w2("aabb"),)), ["a", "b", "ab", "ba", "aB"], ["1", "a", "b"]),
+@pytest.mark.parametrize("spec, f_texts, e_texts, acts", [
+    (COSET_A, ["a", "b"], ["1", "b"], 0),
+    (CosetAction(2, (w2("aabb"),)), ["a", "b", "ab", "ba", "aB"], ["1", "a", "b"], 15),
     (RestrictedAction(CosetAction(2, (w2("aa"),)), (w2("b"), w2("a"))), ["a", "b"],
-     ["1", "b", "ab"]),
-], ids=["aabb-f5", "restricted-over-coset"])
-def test_each_point_is_canonicalized_once(monkeypatch, spec, f_texts, e_texts):
+     ["1", "b", "ab"], 6),
+], ids=["one-level", "aabb-f5", "restricted-over-coset"])
+def test_each_point_is_canonicalized_once(monkeypatch, spec, f_texts, e_texts, acts):
     # only the base action's canonicalize stage names E's points, once
-    # each; the Hall completion reads them as named and moves none.  Both
-    # bindings of ``act`` are counted, wherever the builder takes it from
+    # each; the Hall completion reads them as named and moves none.  A
+    # job whose stabilizer chain has one level is built on its one rung,
+    # with no further call; any other job's ladder reads g^-1.x in E once
+    # for each (g, x) of the job, whatever the number of rungs it tries,
+    # and ``act`` names each such point.  Both bindings of ``act`` are
+    # counted, wherever the builder takes it from
     calls = {"coset_canonical_word": 0, "act": 0}
 
     def counted(name, f):
@@ -228,8 +234,28 @@ def test_each_point_is_canonicalized_once(monkeypatch, spec, f_texts, e_texts):
     for module in (actions, builder):
         monkeypatch.setattr(module, "act", counted("act", act), raising=False)
     cert = build(spec, f_texts, e_texts)
-    assert calls == {"coset_canonical_word": len(e_texts), "act": 0}
+    assert acts in (0, len(f_texts) * len(e_texts))
+    assert calls == {"coset_canonical_word": len(e_texts) + acts, "act": acts}
     assert verify_certificate(cert).accepted
+
+
+@pytest.mark.parametrize("sub, f_texts, e_texts, size", [
+    (("a",), ["a", "b"], ["1", "b"], 3),
+    (("aabb",), ["a", "b", "ab", "ba", "aB"], ["1", "a", "b"], 336),
+], ids=["one-level", "aabb-f5"])
+def test_each_coset_table_is_sized_by_one_chain(monkeypatch, sub, f_texts, e_texts, size):
+    # the chain that checks the cap also sizes every rung and the regular
+    # closure: aabb-f5 tries rungs of 8 and 56 points before its third
+    chains = []
+
+    def counted(*args):
+        chains.append(chain(*args))
+        return chains[-1]
+
+    chain = quotients.stabilizer_chain
+    monkeypatch.setattr(quotients, "stabilizer_chain", counted)
+    cert = build(CosetAction(2, tuple(map(w2, sub))), f_texts, e_texts)
+    assert len(chains) == 1 and cert.approx.size == size
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +486,26 @@ def test_conjugation_restriction_matches_biregular_diagonal():
 
 def test_restrict_without_builder_provenance_verifies():
     # provenance is informative only: the base phi is an exact
-    # homomorphism, so any pull-back of it verifies, whether or not the
+    # homomorphism on C_3 acting on itself, whose witness is equivariant
+    # along all of G, so any pull-back of it verifies, whether or not the
     # images of F lie in the base F
     cert = approximate(COSET_A, [w2("a")], [w2(""), w2("b")])
     stripped = certificate_from_dict({**certificate_to_dict(cert), "provenance": {}})
     for images, F in (([w2("a"), w2("")], [w2("a"), w2("b")]), ([w2("b"), w2("a")], [w2("a")])):
         assert verify_certificate(restrict_certificate(stripped, images, F)).accepted
+
+
+def test_restrict_is_exact_only_along_the_built_F():
+    # <aba> with E = {1, a, ab} builds on the 6 cosets of a rung below
+    # its 360-element group, whose witness is equivariant along F = {a, b}
+    # alone: pulled back so that an element of the new F maps outside
+    # them (a -> ab), it fails equivariance; pulled back along a
+    # relabeling of F, it still verifies
+    cert = approximate(CosetAction(2, (w2("aba"),)), F_AB, [w2(t) for t in ("", "a", "ab")])
+    assert cert.approx.size == 6
+    report = verify_certificate(restrict_certificate(cert, [w2("ab"), w2("b")], [w2("a")]))
+    assert report.first_failure == "equivariance"
+    assert verify_certificate(restrict_certificate(cert, [w2("b"), w2("a")], F_AB)).accepted
 
 
 def test_restrict_refuses_a_bad_image_or_a_wrong_rank_F_word():

@@ -768,8 +768,8 @@ PINNED_FIXTURES = [
      ("43a6dd6193e33b2d0708e9a4b943cbfc3fcf7b658a7e1e896acd35e88ffdd557",
       "72c8eb7f040844f913e3a16d09df58d2d91b4160cb30f6088f339101fdb154ee")),
     (2, ["aba"], ["1", "a", "ab"],
-     ("fc18596f59ca62a15c03cb9d7d500e0f63852351d6638a70ae5ddf963dacc746",
-      "1ded0a2c67c202637482b3331ab63e8e1bca77b62fb94623c243b1ecaf194f3a")),
+     ("f411dc8541cf8a98e0d26bb8a050193fe51d785bdbc62308d59fa2219b16a22d",
+      "a9dc4ac688449c7a1d38a11f1b4d6a7a24453378c7568518f42f98f95e273ab5")),
     (3, [], ["1", "a"],
      ("561a1d251caba7156d907e4e503963e0d7208b2a5a8c135c86671d12041edd91",
       "a677cfeaa8ccac3e53f397b01ed4255340895d4b569ccc7aa0e0fa9699999b7c")),
@@ -777,8 +777,8 @@ PINNED_FIXTURES = [
      ("ce4c9cd064a303632eb07f79fd454d67320f04dbabd6e6789f028d7782995470",
       "e43a855d79da9682f4a8dca0b26a49f7a9b18d90df00dd68f9990be99c81edf5")),
     (3, ["ab", "c"], ["1", "a"],
-     ("fea2b8c7832efca95215d1b7d65249626cfb509b99e72d1ecf4fa909f247a31c",
-      "dae52ef4a46be866e75c2bd12eb747fdebb9df312c1a311e12eabbfe6519c01b")),
+     ("d21bde96a9f477f047231e38fbc14937a790be3998ecc89a3fc8bb3cc54b4cdd",
+      "c0da11eb1395614f4019dc2bb99fb869dd97cb27fe3fc6e42a5f404f40445ce2")),
     (3, ["aa", "b", "c"], ["1", "a"],
      ("a0236aafd6bc73ec4b366bd96de2c2777b784181950b10ca2c99c48d963e12a6",
       "471856aab9ef56e04e4c30d42b4e0f9f87ab3226d60dd7f466b1dac48f611e1c")),
@@ -787,13 +787,14 @@ PINNED_BIREGULAR = ("2b6767de255255d97e11751e655028cea92a8eb501ab22f3a91271dd865
                     "ea43f24969e86d185e3b5ca72c6b887fb78de59c18052d761672eea11077eed5")
 PINNED_CONJ_DEMO = ("87b2190401551c412fc4855726e3a0e6961fc3830fec62fb4fc79a40f71bb7f2",
                     "d940a557b9d6277483f558312432dd98accca488fd0369dc39596a58fa4a30ea")
-# the two jobs of the benchmark's large-carrier workload: the 40 320-point
-# core carrier of <aabb> and the biregular radius-2 ball's 3 600 points
+# the two jobs of the benchmark's large-carrier workload: <aabb> on the
+# 336-point third rung of its 40 320-element group, and the biregular
+# radius-2 ball's 3 600 points
 PINNED_LARGE = [
     ({"action": {"kind": "coset", "rank": 2, "subgroup": ["aabb"]},
       "F": ["a", "b", "ab", "ba", "aB"], "E": ["1", "a", "b"]},
-     ("a0c9dbb1a3e1be69d9a7bfa3d24bd53b23a84436e2121bebe2380208a1445a0e",
-      "c6639d241623dae56adab9afc31e1bb142fd9eb81cc8af887cf310f4cb595a4a")),
+     ("e5a8c8a3e2930d94e0a0818d6d5e45e997248eba6f48552f322d370b4007f88b",
+      "5ec90ed3d831851f7f989048a8f7539fa7b21a1a841351b65ac6140f804570c4")),
     ({"action": {"kind": "biregular", "rank": 2},
       "F": [["a", "1"], ["b", "1"], ["1", "a"], ["1", "b"]],
       "E": ["1", "a", "b", "A", "B", "aa", "ab", "aB", "ba", "bb", "bA", "Ab", "AA", "AB",
@@ -808,8 +809,8 @@ REFUSAL_CAPS = {"core_cap": 10**5}
 PINNED_BENCH = [
     ({"action": {"kind": "coset", "rank": 2, "subgroup": ["abab", "bb"]},
       "F": ["a", "b"], "E": ["1", "a"]},
-     ("5f6d7db18324e6101598154d4bc02af584767b49800793a96536c9e2035246b0",
-      "f3f4f9d3b2ac934144a7b21dcb983c357f70b1c30baaa89d2f40aabb3e4991fa")),
+     ("6f20dc1596996d159bd9107f69bcc7a53b51a68d2c307ffe416dacf5b4cb9640",
+      "5a902a539dccda1ddf7a0f410eee3892b07a113380940b58f4c8a3af60f42ba5")),
     ({"action": {"kind": "coset", "rank": 2,
                  "subgroup": ["a" * 200, "a" * 201, "b" * 200, "b" * 199]},
       "F": ["a", "b"], "E": ["1"]},
@@ -821,12 +822,12 @@ PINNED_BENCH = [
       "858340f1b595804f5f3be954ed8d41eb61d99711b27073bcf0d44be6676b99cd")),
     ({"action": {"kind": "coset", "rank": 2, "subgroup": ["abAB"]},
       "F": ["a", "b"], "E": ["1", "a"], "caps": REFUSAL_CAPS},
-     ("eb5377df0dbc20d24505d2572cb852447fa68e969c277c269cc61420bf40e2e7",
-      "c73700588f480536cdbd8954d86bcfbcbe55feb00f9f4cd3426b983cbd6702b1")),
+     ("bbc913157186ce46f6f97914eea3746d90eec32cecb36ba2ef12b8c35b76a8f9",
+      "04c64d8fec515a606fd1beb0f2d194f731a9cc2c4d4828306fe2192ba584450d")),
     ({"action": {"kind": "coset", "rank": 2, "subgroup": ["aabb"]},
       "F": ["a", "b"], "E": ["1", "a"], "caps": REFUSAL_CAPS},
-     ("f027fb7448b24d87940695452235a1572cf1e764fcc79a73aa674cd94af04ae7",
-      "b2072680cfefd787d7a57de578931c5312e0eb1cef80ae9f13b298c82f6fd2e5")),
+     ("9df4c73ae669f238c7a0992fe359c24470fbbb1760a369c2d9132e300560bba0",
+      "c85cc7f6f8723c7961002d0ec5330eda85d8216b21cc0966be3eb6c0fe23af07")),
 ]
 
 

@@ -12,14 +12,17 @@ carrier's own breadth-first walk from point 0 meets its points in index
 order.  ``finite_index_witness`` must then give the witness the walk
 gave, at one label and on a one-label B too, where ``itemgetter``
 cannot be used as a gather.  Both must do so on either side of the 256
-points up to which the closure stores rows as bytes.  Building the
-40 320-point aabb-f5 certificate must stay within a count of
-compositions, and verifying it must make exactly the count that its
-letters call for.
+points up to which the closure stores rows as bytes, and so must the
+same closure when it lists the orbit of a base prefix, a rung below
+the group.  Building the 40 320-point aabb-f5 certificate from its Hall
+table must stay within a count of compositions, and verifying it must
+make exactly the count that its letters call for.
 """
 
+import math
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 import hypothesis.strategies as st
@@ -32,15 +35,17 @@ import soficert.quotients as quotients
 import soficert.verifier as verifier
 from soficert.actions import CosetAction, act, canonical_point
 from soficert.builder import approximate, finite_index_witness, pairwise_differences
-from soficert.certificate import OrbitWitness
+from soficert.certificate import Certificate, OrbitWitness
 from soficert.permutations import compose, identity_perm, inverse
 from soficert.quotients import (
     DEFAULT_CORE_CAP,
     CoreTooLargeError,
+    base_orbit,
     hall_completion,
     image_group,
     left_coset_of,
     order_bound,
+    stabilizer_chain,
 )
 from soficert.verifier import verify_certificate
 from soficert.words import invert, multiply, parse_word
@@ -119,11 +124,41 @@ def test_closure_matches_reference_and_moves_are_products(degree, data):
         assert list(row) == [index[compose(gen, u)] for u in elements]
 
 
+@pytest.mark.parametrize("degree", [None, 256, 257])
+@given(data=st.data())
+def test_base_orbit_lists_each_rung_of_the_chain(degree, data):
+    # each rung is the orbit of a base prefix of the group's stabilizer
+    # chain, of the size its first basic orbit lengths multiply to, listed
+    # in the order a breadth-first walk over tuples meets it; its move
+    # rows are the generators' actions on it.  Up to 256 points a tuple
+    # is bytes and above it a tuple of ints
+    n = data.draw(st.integers(3, 7)) if degree is None else degree
+    perms = st.sampled_from(_dihedral(n)) if n > 7 else st.permutations(range(n))
+    gens = [tuple(p) for p in data.draw(st.lists(perms, min_size=1, max_size=3))]
+    base, orbits = stabilizer_chain(gens, n)
+    for k in range(1, len(orbits) + 1):
+        size = math.prod(orbits[:k])
+        moves = base_orbit(gens, n, base[:k], size)
+        orbit = [tuple(base[:k])]
+        index = {orbit[0]: 0}
+        queue = deque(orbit)
+        while queue:
+            u = queue.popleft()
+            for p in gens:
+                v = tuple(p[x] for x in u)
+                if v not in index:
+                    index[v] = len(orbit)
+                    orbit.append(v)
+                    queue.append(v)
+        assert len(orbit) == size
+        assert moves == tuple(tuple(index[tuple(p[x] for x in u)] for u in orbit) for p in gens)
+
+
 def test_carrier_walk_meets_points_in_index_order():
     # the carrier is numbered by the closure under the maps phi(g_i), so
     # a breadth-first walk over phi's images from point 0, which is the
     # walk the previous witness routine made, reaches 0, 1, ..., |A| - 1; the
-    # acceptance fixtures, then the 40320-point aabb-f5 bench job
+    # acceptance fixtures, then the aabb-f5 bench job on its 336-point rung
     jobs = FIXTURES + [(2, ["aabb"], ["a", "b", "ab", "ba", "aB"], ["1", "a", "b"])]
     for rank, sub, F, E in jobs:
         w = lambda t: parse_word(t, rank)
@@ -162,17 +197,22 @@ def test_core_build_reads_images_off_the_closure(monkeypatch):
 
 
 def test_verify_composes_once_per_letter_after_the_first(monkeypatch):
-    # the aabb-f5 certificate again: phi of an element composes once per
-    # letter after its first, over F and over the products of the pairs
-    # (g, h) whose letters are not g's followed by h's, here aB.b = a and
-    # aB.ba = aa; then one product phi(g) . phi(h) per such pair, and
-    # every equivariance column pair is one gather.  Composing every pair
-    # took 53 calls, and evaluating phi(gh) from scratch for every pair 85
+    # the aabb-f5 job on the 40 320-point group its Hall table generates,
+    # built from that table as the pipeline built it before the ladder:
+    # phi of an element composes once per letter after its first, over F
+    # and over the products of the pairs (g, h) whose letters are not g's
+    # followed by h's, here aB.b = a and aB.ba = aa; then one product
+    # phi(g) . phi(h) per such pair, and every equivariance column pair is
+    # one gather.  Composing every pair took 53 calls, and evaluating
+    # phi(gh) from scratch for every pair 85
     w = lambda t: parse_word(t, 2)
     spec = CosetAction(2, (w("aabb"),))
     F = [w(t) for t in ("a", "b", "ab", "ba", "aB")]
-    E = [w(t) for t in ("1", "a", "b")]
-    cert = approximate(spec, F, E)
+    E = [canonical_point(spec, w(t)) for t in ("1", "a", "b")]
+    table = hall_completion(spec.graph, pairwise_differences(E))
+    labels = [left_coset_of(table, x) for x in E]
+    approx, witness = finite_index_witness("free", 2, table.inverses, labels, DEFAULT_CORE_CAP)
+    cert = Certificate(spec, tuple(F), tuple(E), Fraction(0), approx, witness, {})
 
     def folds(words):
         return sum(max(len(g.letters) - 1, 0) for g in words)

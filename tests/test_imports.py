@@ -196,7 +196,7 @@ def import_closure(stem):
 # module under src/ defines separation_targets or contains, and none of
 # the trusted ones may
 BUILDER_ONLY = {"hall_completion", "CosetTable", "image_group", "ImageGroup", "order_bound",
-                "separation_targets", "pairwise_differences", "contains",
+                "stabilizer_chain", "base_orbit", "class_witness", "separation_targets", "pairwise_differences", "contains",
                 "write_certificate", "certificate_to_dict", "action_to_json"}
 
 

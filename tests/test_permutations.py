@@ -78,9 +78,11 @@ def test_cap_boundary_builds_at_order_and_refuses_below():
     with pytest.raises(CoreTooLargeError, match=r"exceeds cap 359 on 6 points \(order at least"):
         image_group(table.images, table.size, order - 1)
 
+    # the cap bounds the group, not the carrier: the job builds on the 6
+    # cosets of the table, its least rung, and is refused one below
     w = lambda t: parse_word(t, rank)
     job = (CosetAction(rank, (w("aba"),)), [w(t) for t in F], [w(t) for t in E])
-    assert approximate(*job, core_cap=order).approx.size == order
+    assert approximate(*job, core_cap=order).approx.size == 6
     with pytest.raises(StageError) as info:
         approximate(*job, core_cap=order - 1)
     assert info.value.stage == "finite_index_witness"

@@ -7,17 +7,26 @@ whose H joins two of E's points is refused at canonicalize; every
 other job builds a certificate, which must verify.  The refusal count,
 the carrier sizes and one SHA-256 over the written certificates pin the
 sweep, so a change to any separator, carrier or witness shows here.
-Each job also has a bound, its carrier size when the table was made: a
-smaller separator may shrink a carrier below its bound, never above it,
-and a job refused then is still refused.
+Each job also has a bound, its carrier size when the base-orbit ladder
+was made: a smaller separator or rung may shrink a carrier below its
+bound, never above it, and a job refused then is still refused.
+
+The ladder is checked on the same windows against the brute-force
+oracle, on every rung small enough for it, and against the stabilizer
+chain, whose basic orbit lengths must give each rung's size.
 """
 
 import hashlib
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 
+import soficert.builder as builder
 from soficert.actions import CosetAction
 from soficert.builder import StageError, approximate, write_certificate
+from soficert.harness import brute_force_witness, oracle_agreement, oracle_cases
+from soficert.quotients import stabilizer_chain
 from soficert.verifier import verify_certificate
 from soficert.words import parse_word
 
@@ -28,38 +37,38 @@ SUBGROUPS = [sub for k in range(3) for sub in itertools.combinations(WORDS, k)]
 WINDOWS = [("1",) + extra for k in (1, 2) for extra in itertools.combinations(LETTERS, k)]
 
 BUILT, REFUSED = 662, 708
-CARRIER_SIZES = {2: 136, 3: 85, 5: 16, 6: 127, 8: 6, 24: 6, 60: 34, 120: 188, 360: 18,
-                 720: 42, 5040: 4}
-CARRIER_TOTAL = 83_041
-DIGEST = "14ca53b8f34bdeea72e7bf20a24820994ea52d95058a56c21b680741e34fc6db"
+CARRIER_SIZES = {2: 136, 3: 148, 4: 6, 5: 16, 6: 64, 12: 6, 30: 18, 42: 1, 60: 44, 120: 190,
+                 210: 3, 360: 12, 720: 18}
+CARRIER_TOTAL = 45_208
+DIGEST = "a1bac3a9d3c6da31d8a6e73a6075aa07aa56073cb886af06ee4f829d76d3d8f3"
 
 # each job's bound, one character a job in sweep order and one group of
 # ten windows a subgroup; "." is a job refused at canonicalize
-SIZE_OF = dict(zip(".abcdefghijk", (0, 2, 3, 5, 6, 8, 24, 60, 120, 360, 720, 5040)))
+SIZE_OF = dict(zip(".abcdefghijklm", (0, 2, 3, 4, 5, 6, 12, 30, 42, 60, 120, 210, 360, 720)))
 BOUNDS = [SIZE_OF[c] for c in "".join("""
-bbbbkckkck .b.b....c. b.b..c.... .b.b....c. b.b..c.... afafj.ijji
-ddddjji.hh ddddihhjj. bdbbjg.ijg eaeajjjj.j ddddihhjj. bbbb.ggggi
-afafj.ijji bdbbjg.ijg bbbb.ggggi ddddjji.hh eaeajjjj.j ..........
-.b.b....c. .......... .b.b....c. .......... .......... ..........
-.a.a...... .......... .......... .b.b....c. .......... ..........
-.......... .a.a...... .......... b.b..c.... a.a....... ..........
-.......... .......... b.b..c.... .......... .......... a.a.......
-.......... .......... .......... b.b..c.... .......... .b.b....c.
+bbbbkdhkdk .b.b....d. b.b..d.... .b.b....d. b.b..d.... afafm.gmgg
+beebjjl.jj bbeeljjjj. bbbbji.lji cacamgmm.m bbeeljjjj. bbbb.igigl
+afafm.gmgg bbbbji.lji bbbb.igigl beebjjl.jj cacamgmm.m ..........
+.b.b....d. .......... .b.b....d. .......... .......... ..........
+.a.a...... .......... .......... .b.b....d. .......... ..........
+.......... .a.a...... .......... b.b..d.... a.a....... ..........
+.......... .......... b.b..d.... .......... .......... a.a.......
+.......... .......... .......... b.b..d.... .......... .b.b....d.
 .......... .......... .......... .a.a...... .......... ..........
-.b.b....c. .......... .......... .......... .a.a...... a.a.......
-.......... .......... .......... b.b..c.... .......... ..........
-a.a....... .......... .......... .......... b.b..c.... aaad..h.hh
-adaah..hh. adaah..hh. ddddh.hh.h adaah..hh. aaad..h.hh afafj.ijji
-adaah..hh. aaad..h.hh aaad..h.hh ddddh.hh.h daaahhh... bbbbhh..hh
-daaahhh... daaahhh... aaad..h.hh aaad..h.hh bbbbhh..hh aaad..h.hh
-ddddjji.hh daaahhh... adaah..hh. daaahhh... ddddihhjj. bbbb.gggg.
-adaah..hh. adaah..hh. bbbb.gggg. daaahhh... daaahhh... dddd.h.h.h
-adaah..hh. dddd.h.h.h adaah..hh. bdbbjg.ijg dddd.h.h.h bbbbhh..hh
-dddd.h.h.h daaahhh... dddd.h.h.h ddddh.hh.h dddd.h.h.h dddd.h.h.h
-daaahhh... eaeajjjj.j bbbb.gggg. adaah..hh. adaah..hh. bbbb.gggg.
-daaahhh... daaahhh... aaad..h.hh dddd.h.h.h bbbb.ggggi aaad..h.hh
-dddd.h.h.h adaah..hh. aaad..h.hh aaad..h.hh ddddh.hh.h dddd.h.h.h
-bbbbhh..hh dddd.h.h.h aaad..h.hh dddd.h.h.h daaahhh...
+.b.b....d. .......... .......... .......... .a.a...... a.a.......
+.......... .......... .......... b.b..d.... .......... ..........
+a.a....... .......... .......... .......... b.b..d.... aaab..j.jj
+abaaj..jj. abaaj..jj. eeeej.jj.j abaaj..jj. aaab..j.jj afafm.gmgg
+abaaj..jj. aaab..j.jj aaab..j.jj eeeej.jj.j baaajjj... bbbbii..ii
+baaajjj... baaajjj... aaab..j.jj aaab..j.jj bbbbii..ii aaab..j.jj
+beebjjl.jj baaajjj... abaaj..jj. baaajjj... bbeeljjjj. bbbb.iiii.
+abaaj..jj. abaaj..jj. bbbb.iiii. baaajjj... baaajjj... eebe.j.j.j
+abaaj..jj. eebe.j.j.j abaaj..jj. bbbbji.lji eebe.j.j.j bbbbii..ii
+eebe.j.j.j baaajjj... eebe.j.j.j eeeej.jj.j eebe.j.j.j eebe.j.j.j
+baaajjj... cacamgmm.m bbbb.iiii. abaaj..jj. abaaj..jj. bbbb.iiii.
+baaajjj... baaajjj... aaab..j.jj eebe.j.j.j bbbb.igigl aaab..j.jj
+eebe.j.j.j abaaj..jj. aaab..j.jj aaab..j.jj eeeej.jj.j eebe.j.j.j
+bbbbii..ii eebe.j.j.j aaab..j.jj eebe.j.j.j baaajjj...
 """.split())]
 
 
@@ -92,3 +101,60 @@ def test_rank_two_coset_sweep(tmp_path):
     assert dict(sizes) == CARRIER_SIZES
     assert sum(size * count for size, count in sizes.items()) == CARRIER_TOTAL
     assert digest.hexdigest() == DIGEST
+
+
+def orbit_size(generators, base):
+    """Size of the orbit of the tuple ``base``, listed tuple by tuple."""
+    seen = {tuple(base)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [v for v in {tuple(g[x] for x in u) for u in frontier for g in generators}
+                    if v not in seen]
+        seen.update(frontier)
+    return len(seen)
+
+
+def test_ladder_agrees_with_the_oracle_and_the_chain(monkeypatch):
+    # every rung the ladder lists has the size the chain's basic orbit
+    # lengths predict; every rung it rejects that the oracle can search
+    # has no witness with up to 5 labels, and every chosen carrier the
+    # oracle can search has one
+    listed, tried = [], []
+
+    def base_orbit(generators, degree, base, size):
+        listed.append((generators, degree, base, size))
+        return orbit(generators, degree, base, size)
+
+    def class_witness(approx, columns, width):
+        witness = decide(approx, columns, width)
+        tried.append((approx, witness))
+        return witness
+
+    orbit, decide = builder.base_orbit, builder.class_witness
+    monkeypatch.setattr(builder, "base_orbit", base_orbit)
+    monkeypatch.setattr(builder, "class_witness", class_witness)
+    w2 = lambda t: parse_word(t, 2)
+    F = [w2("a"), w2("b")]
+    counts = Counter()
+    for sub in SUBGROUPS:
+        spec = CosetAction(2, tuple(map(w2, sub)))
+        for window in WINDOWS:
+            start = len(tried)
+            try:
+                cert = approximate(spec, F, [w2("" if t == "1" else t) for t in window])
+            except StageError:
+                continue
+            for approx, witness in tried[start:]:
+                if witness is None and approx.size <= 8:
+                    assert brute_force_witness(cert.action, approx, cert.F, cert.E, Fraction(0),
+                                               max_b=5) is None, (sub, window, approx.size)
+                    counts["failed"] += 1
+            if cert.approx.size <= 8 and len(cert.witness.b_labels) <= 5:
+                assert oracle_agreement([cert])[0]["agreed"], (sub, window)
+                counts["chosen"] += 1
+    for generators, degree, base, size in listed:
+        orbits = stabilizer_chain(generators, degree)[1]
+        assert size == math.prod(orbits[:len(base)]) == orbit_size(generators, base)
+    assert len(listed) == len(tried) == 974
+    assert counts == {"failed": 356, "chosen": 370}
+    assert len(oracle_cases()) == 26
